@@ -32,6 +32,11 @@ dependency structure that makes *selective* invalidation sound:
   paper's method index makes by bucketing on exact parameter types and
   walking supertypes at query time.
 
+  A universe has one graph at a time, kept on its type system by
+  :func:`dependency_graph` and shared by every engine, lint, ``impact``
+  query and pack on it; member edits patch it, structural edits
+  rebuild it.
+
 * :meth:`DependencyGraph.footprint` — the forward closure of a seed
   set: every type a member-chain expansion rooted at those seeds can
   read.  The completion cache records one :class:`QueryFootprint` per
@@ -73,6 +78,7 @@ path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -399,13 +405,56 @@ def _elide(names: Sequence[str], limit: int = 8) -> str:
         ", ".join(names[:limit]), len(names) - limit)
 
 
+def dependency_graph(ts: TypeSystem) -> "DependencyGraph":
+    """The shared :class:`DependencyGraph` of ``ts`` at its current
+    version — the one graph every engine, ``impact`` query, lint and
+    pack on that universe reads.
+
+    The graph is stored on the type system (so it is collected with
+    it).  When the version has moved, a window of member-level edits
+    yields a patched copy (:meth:`DependencyGraph.patched`) and a
+    structural edit or a truncated mutation log a full rebuild; either
+    way the new graph replaces the old one, which readers already
+    holding it keep using unchanged.
+    """
+    graph = ts._dep_graph
+    if graph is not None and graph.built_version == ts.version:
+        return graph
+    mutated = (ts.mutations_since(graph.built_version)
+               if graph is not None else None)
+    if mutated is None:
+        graph = DependencyGraph(ts)
+    else:
+        graph = graph.patched(mutated)
+    return graph.install()
+
+
+def _forward_edges(ts: TypeSystem, typedef: TypeDef) -> Set[str]:
+    """The names ``typedef`` depends on directly: its immediate
+    supertypes and every type its declared member signatures name
+    (itself excluded)."""
+    edges = {parent.full_name for parent in ts.immediate_supertypes(typedef)}
+    for member in list(typedef.fields) + list(typedef.properties):
+        edges.add(member.type.full_name)
+    for method in typedef.methods:
+        for param in method.params:
+            edges.add(param.type.full_name)
+        if method.return_type is not None:
+            edges.add(method.return_type.full_name)
+    edges.discard(typedef.full_name)
+    return edges
+
+
 class DependencyGraph:
     """The static dependency structure of one universe snapshot.
 
     Built from a :class:`TypeSystem` at a fixed version
-    (``built_version``); consumers rebuild when the version moves.
-    Closure queries are memoised per name, so repeated footprint
-    computations over a warm engine stay cheap.
+    (``built_version``) and never changed afterwards, apart from
+    closure memos filling in.  :func:`dependency_graph` keeps one graph
+    per universe current: a member-level edit window makes a patched
+    copy that recomputes only the edited types' forward edges; a
+    structural edit rebuilds.  Closure queries are memoised per name,
+    so repeated footprint computations over a warm engine stay cheap.
     """
 
     def __init__(
@@ -479,29 +528,74 @@ class DependencyGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _edge(self, src: str, dst: str) -> None:
-        if src == dst:
-            return
-        self._forward.setdefault(src, set()).add(dst)
-        self._reverse.setdefault(dst, set()).add(src)
-
     def _build(self) -> None:
         ts = self.ts
         for typedef in ts.all_types():
             name = typedef.full_name
-            self._forward.setdefault(name, set())
             self._reverse.setdefault(name, set())
             for parent in ts.immediate_supertypes(typedef):
-                self._edge(name, parent.full_name)
                 self._lattice.setdefault(name, set()).add(parent.full_name)
                 self._lattice.setdefault(parent.full_name, set()).add(name)
-            for member in list(typedef.fields) + list(typedef.properties):
-                self._edge(name, member.type.full_name)
-            for method in typedef.methods:
-                for param in method.params:
-                    self._edge(name, param.type.full_name)
-                if method.return_type is not None:
-                    self._edge(name, method.return_type.full_name)
+            edges = self._forward[name] = _forward_edges(ts, typedef)
+            for dst in edges:
+                self._reverse.setdefault(dst, set()).add(name)
+
+    def install(self) -> "DependencyGraph":
+        """Make this graph the shared one of its universe (what
+        :func:`dependency_graph` serves while the version holds)."""
+        self.ts._dep_graph = self
+        return self
+
+    def patched(self, mutated: Iterable[str]) -> "DependencyGraph":
+        """A copy at the current version after member-level edits of
+        ``mutated`` (never structural ones: the lattice is shared).
+
+        Only the mutated types' forward edges are recomputed.  When none
+        changed, the copy shares every map and memo with this graph;
+        otherwise it gets its own forward and reverse maps with only the
+        changed entries replaced, keeps the closure memos that contain
+        no changed type, and starts without reverse memos or
+        pack-encoded closures.  This graph itself is never modified, so
+        a reader holding it sees a consistent snapshot.  Partitions are
+        dropped, as a rebuild without a project would.
+        """
+        ts = self.ts
+        ts.fingerprint()  # the RA104 baseline at the new version
+        changed: Dict[str, Set[str]] = {}
+        for name in mutated:
+            typedef = ts.try_get(name)
+            if typedef is None:
+                continue
+            edges = _forward_edges(ts, typedef)
+            if edges != self._forward.get(name, set()):
+                changed[name] = edges
+        graph = copy.copy(self)
+        graph.built_version = ts.version
+        graph._partition_of = {}
+        graph._partition_members = {}
+        if not changed:
+            return graph
+        forward = dict(self._forward)
+        reverse = dict(self._reverse)
+        for name, edges in changed.items():
+            old = forward.get(name, set())
+            forward[name] = edges
+            for dst in old - edges:
+                reverse[dst] = reverse[dst] - {name}
+            for dst in edges - old:
+                reverse[dst] = reverse.get(dst, set()) | {name}
+        graph._forward = forward
+        graph._reverse = reverse
+        graph._closure_memo = {
+            name: closure
+            for name, closure in dict(self._closure_memo).items()
+            if closure.isdisjoint(changed)
+        }
+        graph._reverse_memo = {}
+        graph._packed_closures = {}
+        graph._packed_reverse = {}
+        graph._pack_strings = []
+        return graph
 
     def _build_partitions(self, project) -> None:
         from .abstract_types import AbstractTypeAnalysis
@@ -708,7 +802,6 @@ def lint_dependencies(
     ts: TypeSystem,
     graph: Optional[DependencyGraph] = None,
     cache: Optional[object] = None,
-    project: Optional[object] = None,
 ) -> List[Diagnostic]:
     """Dependency-graph diagnostics (docs/ANALYSIS.md):
 
@@ -737,7 +830,7 @@ def lint_dependencies(
             "be stale".format(ts.version, stamped[:12], current[:12]),
         ))
     if graph is None or graph.built_version != ts.version:
-        graph = DependencyGraph(ts, project=project)
+        graph = dependency_graph(ts)
     diagnostics.extend(_lint_god_types(ts, graph))
     diagnostics.extend(_lint_cycles(ts, graph))
     diagnostics.extend(_lint_blast_radius(ts, graph, cache))

@@ -242,7 +242,7 @@ def open_workspace(
                 "{!r} is not a recognised artifact: expected a repro-pack, "
                 "repro-universe, or repro-project document".format(source))
     if expect_fingerprint is not None:
-        actual = workspace.ts.fingerprint()
+        actual = workspace.ts.fingerprint(fresh=True)
         if actual != expect_fingerprint:
             from .errors import PackStaleError
 

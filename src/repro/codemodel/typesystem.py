@@ -65,7 +65,20 @@ class TypeSystem:
         self._mutation_log: "deque[Tuple[int, Optional[str], bool]]" = deque(
             maxlen=self.MUTATION_LOG_LIMIT)
         self._fingerprint_memo: Optional[Tuple[int, str]] = None
+        #: per-type fingerprint line bytes, keyed by full name; a member
+        #: edit drops only its origin's entry, a structural one all
+        self._fingerprint_lines: Dict[str, bytes] = {}
+        #: the universe's shared :class:`~repro.analysis.deps.DependencyGraph`
+        #: (owned and patched by :func:`repro.analysis.deps.dependency_graph`)
+        self._dep_graph = None
         self._install_core()
+
+    def __getstate__(self) -> dict:
+        # the dependency graph is derived state (and refers back to this
+        # type system): a copy rebuilds its own on first use
+        state = self.__dict__.copy()
+        state["_dep_graph"] = None
+        return state
 
     # ------------------------------------------------------------------
     # core types
@@ -156,8 +169,14 @@ class TypeSystem:
         property-only edits.  ``True`` is the conservative default.
         """
         self._version += 1
-        self._td_cache.clear()
-        self._supertype_cache.clear()
+        if origin is None:
+            # only base, interfaces and kind feed distances and supertype
+            # lists, and only structural edits move those
+            self._td_cache.clear()
+            self._supertype_cache.clear()
+            self._fingerprint_lines.clear()
+        else:
+            self._fingerprint_lines.pop(origin.full_name, None)
         self._lookup_cache.clear()
         self._method_cache.clear()
         self._mutation_log.append(
@@ -234,16 +253,20 @@ class TypeSystem:
         mutated into shape) share a fingerprint; fuzz repro files record
         it so a replay against a drifted universe says so explicitly.
 
-        The digest is memoised against the version counter; pass
-        ``fresh=True`` to force recomputation (how the RA104 drift check
-        catches member-list mutations that bypassed ``_invalidate()`` and
-        therefore did not move the version).
+        The digest is memoised against the version counter, and each
+        type's share of the hashed bytes is memoised until an edit
+        touches that type, so re-stamping after a member edit rehashes
+        memoised bytes instead of re-formatting the universe.  Pass
+        ``fresh=True`` to recompute every type without either memo —
+        what callers that persist or pin a digest use, and how the
+        RA104 drift check catches member-list mutations that bypassed
+        ``_invalidate()`` and therefore did not move the version.
         """
         if not fresh:
             memo = self._fingerprint_memo
             if memo is not None and memo[0] == self._version:
                 return memo[1]
-        digest_hex = self._compute_fingerprint()
+        digest_hex = self._compute_fingerprint(fresh)
         self._fingerprint_memo = (self._version, digest_hex)
         return digest_hex
 
@@ -253,58 +276,35 @@ class TypeSystem:
 
         Compares a fresh digest against the digest memoised at the same
         version.  Returns ``(stamped, current)`` on drift — reported once;
-        the memo is re-stamped so repeated checks do not re-report — or
+        the memo is re-stamped (and the per-type memo refilled from the
+        fresh recomputation) so repeated checks do not re-report — or
         ``None`` when the universe is clean or no stamp exists yet.
         """
         memo = self._fingerprint_memo
         if memo is None or memo[0] != self._version:
             self.fingerprint()  # stamp the current state for later checks
             return None
-        current = self._compute_fingerprint()
+        current = self._compute_fingerprint(fresh=True)
         if current == memo[1]:
             return None
         self._fingerprint_memo = (self._version, current)
         return memo[1], current
 
-    def _compute_fingerprint(self) -> str:
+    def _compute_fingerprint(self, fresh: bool) -> str:
+        """The digest over every type's lines; ``fresh`` recomputes each
+        type's lines and refills the per-type memo with them."""
         import hashlib
 
+        if fresh:
+            self._fingerprint_lines.clear()
+        lines = self._fingerprint_lines
         digest = hashlib.sha256()
         for typedef in sorted(self._types.values(),
                               key=lambda t: t.full_name):
-            lines = [
-                "type {} kind={} base={} interfaces={} comparable={} "
-                "primitive={}".format(
-                    typedef.full_name,
-                    typedef.kind.value,
-                    typedef.base.full_name if typedef.base else "-",
-                    ",".join(sorted(
-                        i.full_name for i in typedef.interfaces)),
-                    typedef.comparable,
-                    typedef.treat_as_primitive,
-                )
-            ]
-            for member in sorted(
-                    list(typedef.fields) + list(typedef.properties),
-                    key=lambda f: (f.name, f.type.full_name)):
-                lines.append("lookup {}:{} static={} property={}".format(
-                    member.name, member.type.full_name, member.is_static,
-                    member.is_property))
-            for method in sorted(
-                    typedef.methods,
-                    key=lambda m: (m.name,
-                                   [p.type.full_name for p in m.params])):
-                lines.append("method {}({}) -> {} static={} ctor={}".format(
-                    method.name,
-                    ",".join(p.type.full_name for p in method.params),
-                    method.return_type.full_name
-                    if method.return_type else "void",
-                    method.is_static,
-                    method.is_constructor,
-                ))
-            for line in lines:
-                digest.update(line.encode("utf-8"))
-                digest.update(b"\n")
+            data = lines.get(typedef.full_name)
+            if data is None:
+                data = lines[typedef.full_name] = _fingerprint_lines(typedef)
+            digest.update(data)
         return digest.hexdigest()
 
     # ------------------------------------------------------------------
@@ -547,3 +547,38 @@ class TypeSystem:
                 if current.base is None and current is not self.object_type:
                     queue.append(self.object_type)
         return order
+
+
+def _fingerprint_lines(typedef: TypeDef) -> bytes:
+    """One type's share of :meth:`TypeSystem.fingerprint`: its header
+    line, then its lookups and methods in signature order, each line
+    newline-terminated."""
+    lines = [
+        "type {} kind={} base={} interfaces={} comparable={} "
+        "primitive={}".format(
+            typedef.full_name,
+            typedef.kind.value,
+            typedef.base.full_name if typedef.base else "-",
+            ",".join(sorted(i.full_name for i in typedef.interfaces)),
+            typedef.comparable,
+            typedef.treat_as_primitive,
+        )
+    ]
+    for member in sorted(
+            list(typedef.fields) + list(typedef.properties),
+            key=lambda f: (f.name, f.type.full_name)):
+        lines.append("lookup {}:{} static={} property={}".format(
+            member.name, member.type.full_name, member.is_static,
+            member.is_property))
+    for method in sorted(
+            typedef.methods,
+            key=lambda m: (m.name, [p.type.full_name for p in m.params])):
+        lines.append("method {}({}) -> {} static={} ctor={}".format(
+            method.name,
+            ",".join(p.type.full_name for p in method.params),
+            method.return_type.full_name if method.return_type else "void",
+            method.is_static,
+            method.is_constructor,
+        ))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")

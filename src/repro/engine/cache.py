@@ -35,7 +35,7 @@ type system *which* types changed (``TypeSystem.mutations_since``):
   behaviour): when every mutation in the window was member-level, the
   cache drops only the entries whose recorded
   :class:`~repro.analysis.deps.QueryFootprint` an edit can reach —
-  either the entry's **reads** closure (the
+  either the entry's **reads** closure (the universe's shared
   :class:`~repro.analysis.deps.DependencyGraph` forward closure of its
   seed types, captured at population time) meets the mutated names, or
   its **accepting** set (unknown-call argument supertype closures)
@@ -43,8 +43,12 @@ type system *which* types changed (``TypeSystem.mutations_since``):
   (:func:`~repro.analysis.deps.method_param_types`) — the path by which
   a method newly added to a previously-unrelated type becomes a
   candidate.  Entries with no footprint (``None``: hole queries that
-  can read the whole universe) are always dropped.  Root-pool groups of
-  the mutated types are dropped and regenerated lazily.
+  can read the whole universe) are always dropped.  The entries to drop
+  are found through an inverted index kept beside the footprints (read
+  name → entries, accepting name → entries, plus the universe-wide
+  entries), so a fine pass costs what it drops, not what the cache
+  holds.  Root-pool groups of the mutated types are dropped and
+  regenerated lazily.
 * **coarse** (the documented fallback): everything is dropped when the
   mutation window contains a *structural* edit (registration,
   ``base``/``interfaces`` re-pointing — type distances move globally),
@@ -205,6 +209,70 @@ class _RootPool:
         self.flat: Optional[List[Scored]] = None
 
 
+class _FootprintIndex:
+    """The recorded footprint of every entry of one LRU map, plus the
+    inverted index fine-grained invalidation reads: read name → keys,
+    accepting name → keys, and the keys of universe-wide (``None``)
+    entries.  ``affected`` is exactly the set of keys whose footprint
+    is ``None`` or :meth:`QueryFootprint.affected_by` the edit, found
+    without visiting the others."""
+
+    __slots__ = ("footprints", "reads", "accepting", "universal")
+
+    def __init__(self) -> None:
+        self.footprints: Dict[Hashable, Footprint] = {}
+        self.reads: Dict[str, set] = {}
+        self.accepting: Dict[str, set] = {}
+        self.universal: set = set()
+
+    def record(self, key: Hashable, footprint: Footprint) -> None:
+        """Record ``key``'s footprint, replacing any earlier one."""
+        self.forget(key)
+        self.footprints[key] = footprint
+        if footprint is None:
+            self.universal.add(key)
+            return
+        for name in footprint.reads:
+            self.reads.setdefault(name, set()).add(key)
+        for name in footprint.accepting:
+            self.accepting.setdefault(name, set()).add(key)
+
+    def forget(self, key: Hashable) -> None:
+        """Drop ``key`` and its postings (a no-op when it is not
+        recorded)."""
+        footprint = self.footprints.pop(key, _MISSING)
+        if footprint is _MISSING:
+            return
+        if footprint is None:
+            self.universal.discard(key)
+            return
+        for postings, names in ((self.reads, footprint.reads),
+                                (self.accepting, footprint.accepting)):
+            for name in names:
+                keys = postings[name]
+                keys.discard(key)
+                if not keys:
+                    del postings[name]
+
+    def affected(
+        self, mutated: FrozenSet[str], params: FrozenSet[str]
+    ) -> set:
+        """The keys a member-level edit of ``mutated`` (with method
+        parameter types ``params``) invalidates."""
+        hit = set(self.universal)
+        for name in mutated:
+            hit.update(self.reads.get(name, ()))
+        for name in params:
+            hit.update(self.accepting.get(name, ()))
+        return hit
+
+    def clear(self) -> None:
+        self.footprints.clear()
+        self.reads.clear()
+        self.accepting.clear()
+        self.universal.clear()
+
+
 class CompletionCache:
     """Version-synchronised cross-query memo for one engine.
 
@@ -227,10 +295,10 @@ class CompletionCache:
         self.stats = CacheStats()
         self._version: Optional[int] = None
         self._streams: "OrderedDict[Hashable, SharedStream]" = OrderedDict()
-        self._stream_fp: Dict[Hashable, Footprint] = {}
+        self._stream_fp = _FootprintIndex()
         self._roots: Dict[Hashable, _RootPool] = {}
         self._placements: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._placement_fp: Dict[Hashable, Footprint] = {}
+        self._placement_fp = _FootprintIndex()
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -278,22 +346,14 @@ class CompletionCache:
         )
         dropped = 0
         preserved = 0
-        for key in list(self._streams):
-            footprint = self._stream_fp.get(key)
-            if footprint is None or footprint.affected_by(mutated, params):
-                del self._streams[key]
-                self._stream_fp.pop(key, None)
-                dropped += 1
-            else:
-                preserved += 1
-        for key in list(self._placements):
-            footprint = self._placement_fp.get(key)
-            if footprint is None or footprint.affected_by(mutated, params):
-                del self._placements[key]
-                self._placement_fp.pop(key, None)
-                dropped += 1
-            else:
-                preserved += 1
+        for entries, footprints in ((self._streams, self._stream_fp),
+                                    (self._placements, self._placement_fp)):
+            hit = footprints.affected(mutated, params)
+            for key in hit:
+                del entries[key]
+                footprints.forget(key)
+            dropped += len(hit)
+            preserved += len(entries)
         for pool in self._roots.values():
             # a static root's score depends only on its declaring type
             # (one dot off a TypeLiteral), so the raw mutated set — not
@@ -350,12 +410,13 @@ class CompletionCache:
             self.stats.stream_misses += 1
             shared = SharedStream(make())
             self._streams[key] = shared
-            self._stream_fp[key] = (
-                footprint() if footprint is not None and self.fine else None
+            self._stream_fp.record(
+                key,
+                footprint() if footprint is not None and self.fine else None,
             )
             while len(self._streams) > self.max_streams:
                 evicted, _ = self._streams.popitem(last=False)
-                self._stream_fp.pop(evicted, None)
+                self._stream_fp.forget(evicted)
                 self.stats.evictions += 1
             return shared, False
 
@@ -459,13 +520,14 @@ class CompletionCache:
             if self._version == ts.version:
                 self.stats.placement_misses += 1
                 self._placements[key] = value
-                self._placement_fp[key] = (
+                self._placement_fp.record(
+                    key,
                     footprint()
-                    if footprint is not None and self.fine else None
+                    if footprint is not None and self.fine else None,
                 )
                 while len(self._placements) > self.max_placements:
                     evicted, _ = self._placements.popitem(last=False)
-                    self._placement_fp.pop(evicted, None)
+                    self._placement_fp.forget(evicted)
                     self.stats.evictions += 1
         return value
 
@@ -480,10 +542,11 @@ class CompletionCache:
         estimates."""
         with self._lock:
             footprints: List[Footprint] = [
-                self._stream_fp.get(key) for key in self._streams
+                self._stream_fp.footprints[key] for key in self._streams
             ]
             footprints.extend(
-                self._placement_fp.get(key) for key in self._placements
+                self._placement_fp.footprints[key]
+                for key in self._placements
             )
             for pool in self._roots.values():
                 footprints.extend(

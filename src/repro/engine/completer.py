@@ -331,9 +331,6 @@ class CompletionEngine:
             CompletionCache(fine=self.config.fine_invalidation)
             if self.config.enable_cache else None
         )
-        #: lazily (re)built whole-universe dependency graph backing the
-        #: cache's footprints and the ``impact()`` surface
-        self._dep_graph = None
         #: engine-wide observability counters and histograms (always on
         #: — per-query cost is a handful of dict increments); metric
         #: names are listed in docs/OBSERVABILITY.md
@@ -352,17 +349,14 @@ class CompletionEngine:
     # dependency analysis plumbing
     # ------------------------------------------------------------------
     def dependency_graph(self):
-        """The whole-universe :class:`~repro.analysis.deps.DependencyGraph`
-        at the current type-system version, rebuilt lazily when the
-        version moves.  Backs cache footprints, ``impact()``, and the
-        RA1xx lints."""
-        from ..analysis.deps import DependencyGraph
+        """The universe's shared
+        :class:`~repro.analysis.deps.DependencyGraph` at the current
+        type-system version (:func:`~repro.analysis.deps.dependency_graph`:
+        patched after member edits, rebuilt after structural ones).
+        Backs cache footprints, ``impact()``, and the RA1xx lints."""
+        from ..analysis.deps import dependency_graph
 
-        graph = self._dep_graph
-        if graph is None or graph.built_version != self.ts.version:
-            graph = DependencyGraph(self.ts)
-            self._dep_graph = graph
-        return graph
+        return dependency_graph(self.ts)
 
     def impact(self, type_names: Sequence[str]):
         """What editing these types can touch

@@ -257,7 +257,7 @@ class Workspace:
         )
         diagnostics = diagnostics + lint_dependencies(
             self.ts, graph=self.engine.dependency_graph(),
-            cache=self.engine.cache, project=self.project,
+            cache=self.engine.cache,
         )
         if sanitize:
             diagnostics = diagnostics + run_sanitizer_probes(self.engine)

@@ -97,12 +97,12 @@ def _materialize(workspace: Workspace):
         reach.reachable(typedef, False)
         reach.reachable(typedef, True)
     if workspace.project is not None:
-        # partitions need the project; the engine's lazy graph builds
-        # without one, so construct (and install) a partitioned graph
+        # partitions need the project; the shared graph builds without
+        # one, so construct (and install) a partitioned graph
         from .analysis.deps import DependencyGraph
 
-        graph = DependencyGraph(workspace.ts, project=workspace.project)
-        engine._dep_graph = graph
+        graph = DependencyGraph(workspace.ts,
+                                project=workspace.project).install()
     else:
         graph = engine.dependency_graph()
     for name in list(graph._forward):
@@ -189,7 +189,9 @@ def build_pack(workspace: Workspace, path: str) -> Dict[str, Any]:
         "checksum": hashlib.sha256(body_bytes).hexdigest(),
         "meta": {
             "name": workspace.name,
-            "fingerprint": workspace.ts.fingerprint(),
+            # fresh: the body holds the real member lists, even when
+            # they drifted past the memoised digest
+            "fingerprint": workspace.ts.fingerprint(fresh=True),
             "created_by": "repro {}".format(__version__),
             "types": len(workspace.ts.all_types()),
             "methods": sum(1 for _ in workspace.ts.all_methods()),
@@ -315,8 +317,9 @@ def verify_pack(path: str,
 
 def _decode_derived(ts: TypeSystem, body: Dict[str, Any], path: str):
     """Build the engine's derived structures from the body's encoded
-    sections (raises :class:`PackCorruptError` on any malformed
-    section)."""
+    sections: returns the method and reachability indexes and installs
+    the dependency graph on ``ts`` (raises :class:`PackCorruptError` on
+    any malformed section)."""
     from .analysis.deps import DependencyGraph
 
     try:
@@ -367,10 +370,10 @@ def _decode_derived(ts: TypeSystem, body: Dict[str, Any], path: str):
     index = MethodIndex.from_snapshot(ts, buckets)
     reach = ReachabilityIndex.from_snapshot(
         ts, max_depth, packed_walks, strings)
-    graph = DependencyGraph.from_snapshot(
+    DependencyGraph.from_snapshot(
         ts, forward, lattice, packed_closures, packed_reverse, strings,
-        partition_members=partitions)
-    return index, reach, graph
+        partition_members=partitions).install()
+    return index, reach
 
 
 def load_pack(
@@ -395,9 +398,8 @@ def load_pack(
     header, body_bytes = _read_lines(path)
     body, ts = _load_universe(header, body_bytes, path)
     _check_fingerprint(header, ts, path, expect_fingerprint)
-    index, reach, graph = _decode_derived(ts, body, path)
+    index, reach = _decode_derived(ts, body, path)
     engine = CompletionEngine(ts, config, index=index, reachability=reach)
-    engine._dep_graph = graph
     name = header.get("meta", {}).get("name") or "pack"
     return Workspace(ts, name=name, engine=engine,
                      cache_enabled=cache_enabled)

@@ -1,0 +1,399 @@
+"""Member edits cost what they touch: the three incremental fast paths.
+
+A member-level edit (``add_field`` / ``add_property`` / ``add_method`` /
+``set_member_order``) no longer pays for work sized to the universe:
+
+* the completion cache finds the entries to drop through an inverted
+  footprint index instead of testing every entry;
+* the universe's one shared :class:`DependencyGraph` is patched — only
+  the edited types' forward edges are recomputed — instead of rebuilt;
+* ``TypeSystem.fingerprint`` rehashes memoised per-type bytes.
+
+Each fast path is checked here against its slow reference after every
+edit of seeded, Hypothesis-drawn edit sequences over the builtin
+universes and the pinned ``scaling/90`` universe: a fresh
+``DependencyGraph(ts)`` (starting from a built graph and from a
+pack-loaded one), a linear ``QueryFootprint.affected_by`` scan, and
+``fingerprint(fresh=True)``.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.deps import (
+    DependencyGraph,
+    QueryFootprint,
+    dependency_graph,
+    lint_dependencies,
+    method_param_types,
+)
+from repro.api import build_pack, load_pack
+from repro.codemodel import Field, Method, Parameter
+from repro.codemodel.members import Property
+from repro.codemodel.types import TypeDef
+from repro.engine.cache import CompletionCache
+from repro.engine.completer import CompletionEngine
+from repro.ide.workspace import Workspace
+from repro.lang.parser import parse
+
+UNIVERSES = ("paint", "geometry", "bcl", "scaling/90")
+
+#: one edit: (kind, owner pick, member-type pick, second pick)
+EDIT = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+)
+EDITS = st.lists(EDIT, min_size=1, max_size=8)
+
+_PRISTINE = {}
+
+
+def _pristine(universe):
+    """The unedited universe, pickled once (the pickle leaves out the
+    derived dependency graph, so every copy starts without one)."""
+    if universe not in _PRISTINE:
+        if universe == "scaling/90":
+            from repro.corpus import synthesize_project
+            from repro.eval.bench import _scaling_spec
+
+            ts = synthesize_project(_scaling_spec(90)).ts
+        else:
+            ts = Workspace.builtin(universe).ts
+        _PRISTINE[universe] = pickle.dumps(ts, pickle.HIGHEST_PROTOCOL)
+    return pickle.loads(_PRISTINE[universe])
+
+
+@pytest.fixture(scope="module")
+def packs(tmp_path_factory):
+    """One pack per universe, built lazily."""
+    built = {}
+
+    def path_of(universe):
+        if universe not in built:
+            path = str(tmp_path_factory.mktemp("packs") / "u.pack")
+            build_pack(Workspace(_pristine(universe), name="u"), path)
+            built[universe] = path
+        return built[universe]
+
+    return path_of
+
+
+def _owners(ts):
+    return sorted(
+        (t for t in ts.all_types()
+         if not t.is_primitive and t is not ts.void_type),
+        key=lambda t: t.full_name)
+
+
+def _member_types(ts):
+    return sorted((t for t in ts.all_types() if t is not ts.void_type),
+                  key=lambda t: t.full_name)
+
+
+def apply_edit(ts, edit, serial):
+    """Apply one drawn member edit to ``ts``."""
+    kind, owner_pick, type_pick, other_pick = edit
+    owners = _owners(ts)
+    types = _member_types(ts)
+    owner = owners[owner_pick % len(owners)]
+    member_type = types[type_pick % len(types)]
+    other_type = types[other_pick % len(types)]
+    if kind == 0:
+        owner.add_field(Field("zzF{}".format(serial), member_type))
+    elif kind == 1:
+        owner.add_property(Property("ZzP{}".format(serial), member_type))
+    elif kind == 2:
+        owner.add_method(Method(
+            "ZzM{}".format(serial), return_type=member_type,
+            params=[Parameter("x", other_type)]))
+    else:
+        shift = other_pick
+        owner.set_member_order(
+            fields=_rotated(owner.fields, shift),
+            methods=_rotated(owner.methods, shift))
+
+
+def _rotated(items, shift):
+    if not items:
+        return list(items)
+    shift %= len(items)
+    return list(items[shift:]) + list(items[:shift])
+
+
+def _snapshot(graph):
+    return (
+        {name: frozenset(dsts) for name, dsts in graph._forward.items()},
+        {name: frozenset(srcs) for name, srcs in graph._reverse.items()},
+    )
+
+
+def assert_same_graph(graph, fresh):
+    names = (set(graph._forward) | set(graph._reverse)
+             | set(fresh._forward) | set(fresh._reverse))
+    for name in sorted(names):
+        assert graph.forward(name) == fresh.forward(name), name
+        assert graph.reverse(name) == fresh.reverse(name), name
+        assert graph.closure(name) == fresh.closure(name), name
+        assert graph.reverse_closure(name) == fresh.reverse_closure(name), \
+            name
+
+
+class TestPatchedGraph:
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @pytest.mark.parametrize("source", ["built", "pack"])
+    @settings(max_examples=8, deadline=None)
+    @given(edits=EDITS)
+    def test_patched_graph_equals_fresh_build(
+            self, packs, universe, source, edits):
+        ts = (load_pack(packs(universe)).ts if source == "pack"
+              else _pristine(universe))
+        graph = dependency_graph(ts)
+        # warm some closure memos so the patch has memos to keep or drop
+        for name in sorted(graph._forward)[::3]:
+            graph.closure(name)
+        for serial, edit in enumerate(edits):
+            before = _snapshot(graph)
+            apply_edit(ts, edit, serial)
+            patched = dependency_graph(ts)
+            assert patched.built_version == ts.version
+            # copy-on-write: a reader of the old graph sees it unchanged
+            assert _snapshot(graph) == before
+            assert_same_graph(patched, DependencyGraph(ts))
+            assert ts.fingerprint() == ts.fingerprint(fresh=True)
+            graph = patched
+
+    def test_unchanged_edges_share_everything(self):
+        ts = _pristine("paint")
+        graph = dependency_graph(ts)
+        document = ts.get("PaintDotNet.Document")
+        document.set_member_order(methods=list(reversed(document.methods)))
+        patched = dependency_graph(ts)
+        assert patched is not graph
+        assert patched._forward is graph._forward
+        assert patched._closure_memo is graph._closure_memo
+
+    def test_structural_edit_rebuilds(self, monkeypatch):
+        ts = _pristine("paint")
+        dependency_graph(ts)
+        builds = _count_builds(monkeypatch)
+        ts.register(TypeDef("Fresh", "Zz"))
+        assert dependency_graph(ts).reverse("System.Object") >= {"Zz.Fresh"}
+        assert builds == [1]
+
+    def test_one_build_for_fifty_engines_and_twenty_edits(self, monkeypatch):
+        ts = _pristine("paint")
+        builds = _count_builds(monkeypatch)
+        for serial in range(50):
+            engine = CompletionEngine(ts)
+            engine.dependency_graph()
+            if serial < 20:
+                apply_edit(ts, (serial % 4, serial, 3 * serial, 7), serial)
+        assert builds == [1]
+
+    def test_graph_is_dropped_from_pickles(self):
+        ts = _pristine("paint")
+        dependency_graph(ts)
+        assert pickle.loads(pickle.dumps(ts))._dep_graph is None
+
+    def test_ra104_fires_after_a_patched_graph_stamp(self):
+        ts = _pristine("paint")
+        dependency_graph(ts)
+        document = ts.get("PaintDotNet.Document")
+        document.add_field(Field("zzProper", ts.string_type))
+        graph = dependency_graph(ts)  # patched copy, stamps the digest
+        assert graph.built_version == ts.version
+        document.fields.append(Field("zzSneaky", ts.string_type))
+        codes = [d.code for d in lint_dependencies(ts, graph=graph)]
+        assert "RA104" in codes
+
+
+def _count_builds(monkeypatch):
+    """Count full ``DependencyGraph`` builds from here on."""
+    builds = [0]
+    original = DependencyGraph._build
+
+    def counting(self):
+        builds[0] += 1
+        original(self)
+
+    monkeypatch.setattr(DependencyGraph, "_build", counting)
+    return builds
+
+
+# ----------------------------------------------------------------------
+# indexed invalidation
+# ----------------------------------------------------------------------
+SOURCES = ["a.?f", "a.?*m", "b.?m", "?({a, b})", "a.?*f", "?"]
+
+
+def _maps(cache):
+    return ((cache._streams, cache._stream_fp),
+            (cache._placements, cache._placement_fp))
+
+
+def assert_postings_consistent(cache):
+    """Every map's inverted index is exactly the one its recorded
+    footprints imply."""
+    for entries, index in _maps(cache):
+        assert set(index.footprints) == set(entries)
+        reads, accepting, universal = {}, {}, set()
+        for key, footprint in index.footprints.items():
+            if footprint is None:
+                universal.add(key)
+                continue
+            for name in footprint.reads:
+                reads.setdefault(name, set()).add(key)
+            for name in footprint.accepting:
+                accepting.setdefault(name, set()).add(key)
+        assert index.reads == reads
+        assert index.accepting == accepting
+        assert index.universal == universal
+
+
+def _linear_drop(entries, index, mutated, params):
+    return {
+        key for key in entries
+        if index.footprints[key] is None
+        or index.footprints[key].affected_by(mutated, params)
+    }
+
+
+class TestIndexedInvalidation:
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @settings(max_examples=8, deadline=None)
+    @given(edits=EDITS)
+    def test_drop_set_equals_linear_scan(self, universe, edits):
+        ts = _pristine(universe)
+        workspace = Workspace(ts, name="u")
+        first, second = [t for t in _owners(ts)
+                         if t.fields or t.methods][:2]
+        context = workspace.context(locals={"a": first, "b": second})
+        engine = workspace.engine
+        cache = engine.cache
+
+        def run_queries():
+            for source in SOURCES:
+                engine.complete_query(parse(source, context), context, n=5)
+
+        run_queries()
+        for serial, edit in enumerate(edits):
+            apply_edit(ts, edit, serial)
+            mutated = ts.mutations_since(cache._version)
+            method_mutated = ts.method_mutations_since(cache._version)
+            params = method_param_types(ts, method_mutated)
+            expected = []
+            for entries, index in _maps(cache):
+                linear = _linear_drop(entries, index, mutated, params)
+                assert index.affected(mutated, params) == linear
+                expected.append(set(entries) - linear)
+            with cache._lock:
+                cache._sync(ts)
+            assert [set(entries) for entries, _ in _maps(cache)] == expected
+            assert_postings_consistent(cache)
+            run_queries()
+            assert_postings_consistent(cache)
+
+
+class TestPostingsUpkeep:
+    FP_A = QueryFootprint(reads=frozenset({"A", "B"}),
+                          accepting=frozenset({"P"}))
+    FP_C = QueryFootprint(reads=frozenset({"C"}))
+
+    def test_insert_evict_and_clear(self):
+        ts = _pristine("paint")
+        cache = CompletionCache(max_streams=2, max_placements=2)
+        cache.stream(ts, "s1", lambda: iter(()), lambda: self.FP_A)
+        cache.stream(ts, "s2", lambda: iter(()), lambda: None)
+        cache.placement(ts, "p1", lambda: 1, lambda: self.FP_C)
+        assert_postings_consistent(cache)
+        cache.stream(ts, "s3", lambda: iter(()), lambda: self.FP_C)
+        cache.placement(ts, "p2", lambda: 2, lambda: self.FP_A)
+        cache.placement(ts, "p3", lambda: 3, lambda: None)
+        assert cache.stats.evictions == 2
+        assert "s1" not in cache._stream_fp.footprints
+        assert_postings_consistent(cache)
+        cache.clear()
+        assert_postings_consistent(cache)
+        assert not cache._stream_fp.reads and not cache._placement_fp.reads
+
+    def test_reinserted_broken_stream_replaces_its_postings(self):
+        ts = _pristine("paint")
+        cache = CompletionCache()
+
+        def failing():
+            raise RuntimeError("transient")
+            yield  # pragma: no cover - makes this a generator
+
+        shared, _ = cache.stream(ts, "s", failing, lambda: self.FP_A)
+        with pytest.raises(RuntimeError):
+            shared.get(0)
+        assert shared.broken
+        cache.stream(ts, "s", lambda: iter(()), lambda: self.FP_C)
+        assert_postings_consistent(cache)
+        assert "A" not in cache._stream_fp.reads
+
+    def test_placement_inserted_twice_keeps_one_posting(self):
+        ts = _pristine("paint")
+        cache = CompletionCache()
+
+        def racing():
+            # another caller fills the same key while this one computes
+            cache.placement(ts, "p", lambda: 1, lambda: self.FP_A)
+            return 2
+
+        cache.placement(ts, "p", racing, lambda: self.FP_C)
+        assert cache._placement_fp.footprints == {"p": self.FP_C}
+        assert_postings_consistent(cache)
+
+    def test_coarse_clear_empties_the_index(self):
+        ts = _pristine("paint")
+        cache = CompletionCache()
+        cache.stream(ts, "s", lambda: iter(()), lambda: self.FP_A)
+        cache.placement(ts, "p", lambda: 1, lambda: None)
+        ts.register(TypeDef("Fresh", "Zz"))  # structural: coarse path
+        cache.stream(ts, "t", lambda: iter(()), lambda: self.FP_C)
+        assert cache.stats.invalidations_coarse == 1
+        assert set(cache._stream_fp.footprints) == {"t"}
+        assert_postings_consistent(cache)
+
+
+# ----------------------------------------------------------------------
+# per-type fingerprint memo
+# ----------------------------------------------------------------------
+class TestFingerprintMemo:
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @settings(max_examples=10, deadline=None)
+    @given(edits=EDITS)
+    def test_memoised_digest_equals_fresh(self, universe, edits):
+        ts = _pristine(universe)
+        ts.fingerprint()
+        for serial, edit in enumerate(edits):
+            apply_edit(ts, edit, serial)
+            memoised = ts.fingerprint()
+            assert memoised == ts.fingerprint(fresh=True)
+
+    def test_member_edit_drops_only_the_origin_lines(self):
+        ts = _pristine("paint")
+        ts.fingerprint()
+        total = len(ts._fingerprint_lines)
+        document = ts.get("PaintDotNet.Document")
+        document.add_field(Field("zzMemo", ts.string_type))
+        assert "PaintDotNet.Document" not in ts._fingerprint_lines
+        assert len(ts._fingerprint_lines) == total - 1
+        ts.register(TypeDef("Fresh", "Zz"))
+        assert not ts._fingerprint_lines
+
+    def test_detected_drift_refreshes_the_memo(self):
+        ts = _pristine("paint")
+        ts.fingerprint()
+        ts.get("PaintDotNet.Document").fields.append(
+            Field("zzSneaky", ts.string_type))
+        assert ts.check_fingerprint_drift() is not None
+        assert ts.fingerprint() == ts.fingerprint(fresh=True)
+        assert ts.check_fingerprint_drift() is None

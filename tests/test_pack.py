@@ -89,12 +89,13 @@ class TestRoundTrip:
         path = str(tmp_path / "paint.pack")
         build_pack(Workspace.builtin("paint"), path)
         loaded = load_pack(path)
+        restored = loaded.ts._dep_graph
         battery_top10(loaded, "paint")
         assert loaded.engine.index.rebuilds == 0
         assert loaded.engine.reachability.rebuilds == 0
-        # the restored graph must satisfy the engine's version memo
-        graph = loaded.engine.dependency_graph()
-        assert graph is loaded.engine._dep_graph
+        # the restored graph is the universe's shared graph, current
+        # at the loaded version, so the engine serves it without a rebuild
+        assert loaded.engine.dependency_graph() is restored
 
     @pytest.mark.parametrize("plan", FUZZ_PLANS,
                              ids=lambda plan: "+".join(f for f, _ in plan))
@@ -139,6 +140,54 @@ class TestRoundTrip:
         build_pack(load_pack(first), second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+
+
+class TestEditedPack:
+    """A pack-loaded workspace serves lazily decoded walks, closures and
+    a restored dependency graph; member edits must patch them into the
+    same answers a cache-off engine gives over the edited universe."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_battery_after_edits_matches_cache_off_engine(
+            self, universe, seed, tmp_path):
+        import random
+
+        from repro.codemodel import Field, Method, Parameter
+        from repro.engine.completer import EngineConfig
+
+        path = str(tmp_path / "u.pack")
+        build_pack(Workspace.builtin(universe), path)
+        loaded = load_pack(path)
+        ts = loaded.ts
+        battery_top10(loaded, universe)  # warm every cache and index
+        rng = random.Random(seed)
+        owners = sorted(
+            (t for t in ts.all_types()
+             if not t.is_primitive and (t.fields or t.methods)),
+            key=lambda t: t.full_name)
+        member_types = sorted(
+            (t for t in ts.all_types() if t is not ts.void_type),
+            key=lambda t: t.full_name)
+        for serial in range(6):
+            owner = rng.choice(owners)
+            kind = serial % 3
+            if kind == 0:
+                owner.add_field(Field(
+                    "zzF{}".format(serial), rng.choice(member_types)))
+            elif kind == 1:
+                owner.add_method(Method(
+                    "ZzM{}".format(serial),
+                    return_type=rng.choice(member_types),
+                    params=[Parameter("x", rng.choice(member_types))]))
+            else:
+                owner.set_member_order(
+                    fields=list(reversed(owner.fields)),
+                    methods=list(reversed(owner.methods)))
+            cache_off = Workspace(
+                ts, name="cache-off",
+                config=EngineConfig(enable_cache=False))
+            assert battery_top10(loaded, universe) == \
+                battery_top10(cache_off, universe)
 
 
 class TestIntegrity:
@@ -213,6 +262,32 @@ class TestIntegrity:
     def test_verify_pack_accepts_good_artifact(self, pack_path):
         header = verify_pack(pack_path)
         assert header["meta"]["name"] == "geometry"
+
+    def test_pack_of_a_drifted_universe_loads(self, tmp_path):
+        # a member list mutated behind the memoised fingerprint: the
+        # header must record the digest of what the body holds
+        from repro.codemodel import Field
+
+        workspace = Workspace.builtin("paint")
+        workspace.ts.fingerprint()
+        document = workspace.ts.get("PaintDotNet.Document")
+        document.fields.append(Field("zzDrift", workspace.ts.string_type))
+        path = str(tmp_path / "drifted.pack")
+        header = build_pack(workspace, path)
+        loaded = load_pack(path)
+        assert loaded.ts.fingerprint() == header["meta"]["fingerprint"]
+        assert header["meta"]["fingerprint"] == \
+            workspace.ts.fingerprint(fresh=True)
+
+    def test_expect_fingerprint_pins_the_fresh_digest(self):
+        from repro.codemodel import Field
+
+        ts = Workspace.builtin("paint").ts
+        stamped = ts.fingerprint()
+        ts.get("PaintDotNet.Document").fields.append(
+            Field("zzDrift", ts.string_type))
+        with pytest.raises(PackStaleError):
+            open_workspace(ts, expect_fingerprint=stamped)
 
 
 class TestErrorTable:

@@ -304,3 +304,35 @@ class TestCacheInvalidation:
         start.add_field(Field("Next", goal))
         assert index.can_reach(start, goal, within=2, allow_methods=True)
         assert index.steps_to_target(start, goal, allow_methods=True) == 1
+
+    def test_member_edits_keep_distance_memos_and_their_answers(self):
+        from repro.codemodel import Parameter
+        from repro.ide.workspace import Workspace
+        from repro.serialize import dump_type_system, load_type_system
+
+        ts = Workspace.builtin("paint").ts
+        types = sorted(ts.all_types(), key=lambda t: t.full_name)
+        for source in types:
+            for target in types:
+                ts.type_distance(source, target)
+            ts.immediate_supertypes(source)
+        memoised = len(ts._td_cache)
+        document = ts.get("PaintDotNet.Document")
+        document.add_field(Field("zzF", ts.string_type))
+        document.add_method(Method(
+            "ZzM", ts.object_type,
+            params=(Parameter("x", ts.get("PaintDotNet.Layer")),)))
+        document.set_member_order(methods=list(reversed(document.methods)))
+        # only base, interfaces and kind feed distances: member edits
+        # keep the memos, and the memos still give a fresh universe's
+        # answers
+        assert len(ts._td_cache) == memoised
+        fresh = load_type_system(dump_type_system(ts))
+        for source in types:
+            for target in types:
+                assert ts.type_distance(source, target) == \
+                    fresh.type_distance(fresh.get(source.full_name),
+                                        fresh.get(target.full_name))
+            assert [t.full_name for t in ts.immediate_supertypes(source)] \
+                == [t.full_name for t in fresh.immediate_supertypes(
+                    fresh.get(source.full_name))]
