@@ -32,6 +32,11 @@ class TypeKind(enum.Enum):
 class TypeDef:
     """A named type in the code model.
 
+    ``name`` and ``namespace`` are fixed at construction (both are
+    read-only), so ``full_name`` is formatted once and stored: a
+    registry keys its types and every derived index keys its memos by
+    that string.
+
     Parameters
     ----------
     name:
@@ -56,8 +61,9 @@ class TypeDef:
     """
 
     __slots__ = (
-        "name",
-        "namespace",
+        "_name",
+        "_namespace",
+        "_full_name",
         "kind",
         "_base",
         "_interfaces",
@@ -80,8 +86,10 @@ class TypeDef:
         comparable: bool = False,
         treat_as_primitive: bool = False,
     ) -> None:
-        self.name = name
-        self.namespace = namespace
+        self._name = name
+        self._namespace = namespace
+        self._full_name = "{}.{}".format(namespace, name) if namespace \
+            else name
         self.kind = kind
         self._base = base
         self._interfaces: Tuple[TypeDef, ...] = tuple(interfaces)
@@ -122,11 +130,19 @@ class TypeDef:
     # identity
     # ------------------------------------------------------------------
     @property
+    def name(self) -> str:
+        """The simple (unqualified) name."""
+        return self._name
+
+    @property
+    def namespace(self) -> str:
+        """The dotted namespace (empty for the global namespace)."""
+        return self._namespace
+
+    @property
     def full_name(self) -> str:
         """The namespace-qualified name used for registry lookups."""
-        if self.namespace:
-            return "{}.{}".format(self.namespace, self.name)
-        return self.name
+        return self._full_name
 
     @property
     def namespace_parts(self) -> Tuple[str, ...]:

@@ -58,6 +58,10 @@ class TypeSystem:
         self._version = 0
         self._td_cache: Dict[Tuple[str, str], Optional[int]] = {}
         self._supertype_cache: Dict[str, Tuple[TypeDef, ...]] = {}
+        #: per-type supertype walks (BFS order, self first) and their
+        #: sets; dropped with ``_supertype_cache``
+        self._supertype_order_cache: Dict[str, Tuple[TypeDef, ...]] = {}
+        self._closure_cache: Dict[str, FrozenSet[TypeDef]] = {}
         self._lookup_cache: Dict[str, Tuple[Field, ...]] = {}
         self._method_cache: Dict[str, Tuple[Method, ...]] = {}
         #: (version, origin full name or None for structural,
@@ -174,6 +178,8 @@ class TypeSystem:
             # lists, and only structural edits move those
             self._td_cache.clear()
             self._supertype_cache.clear()
+            self._supertype_order_cache.clear()
+            self._closure_cache.clear()
             self._fingerprint_lines.clear()
         else:
             self._fingerprint_lines.pop(origin.full_name, None)
@@ -341,17 +347,39 @@ class TypeSystem:
         self._supertype_cache[key] = result
         return result
 
-    def supertype_closure(self, typedef: TypeDef) -> Set[TypeDef]:
-        """``typedef`` plus everything it implicitly converts to."""
-        seen: Set[TypeDef] = set()
+    def supertype_order(self, typedef: TypeDef) -> Tuple[TypeDef, ...]:
+        """``typedef`` plus everything it implicitly converts to, in BFS
+        order over the supertype graph (self first, nearest types next).
+
+        Memoised per type until a structural edit or a registration;
+        member edits keep it.  Callers must not mutate the result.
+        """
+        key = typedef.full_name
+        cached = self._supertype_order_cache.get(key)
+        if cached is not None:
+            return cached
+        order: List[TypeDef] = []
+        seen = {typedef}
         queue = deque([typedef])
         while queue:
             current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.immediate_supertypes(current))
-        return seen
+            order.append(current)
+            for parent in self.immediate_supertypes(current):
+                if parent not in seen:
+                    seen.add(parent)
+                    queue.append(parent)
+        result = self._supertype_order_cache[key] = tuple(order)
+        return result
+
+    def supertype_closure(self, typedef: TypeDef) -> FrozenSet[TypeDef]:
+        """``typedef`` plus everything it implicitly converts to, as a set
+        (memoised with :meth:`supertype_order`)."""
+        key = typedef.full_name
+        cached = self._closure_cache.get(key)
+        if cached is None:
+            cached = self._closure_cache[key] = frozenset(
+                self.supertype_order(typedef))
+        return cached
 
     def implicitly_converts(self, source: TypeDef, target: TypeDef) -> bool:
         """True iff a value of ``source`` is usable where ``target`` is

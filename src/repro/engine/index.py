@@ -17,7 +17,6 @@ target type is known.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codemodel.members import Method
@@ -174,7 +173,7 @@ class MethodIndex:
         self.refresh()
         result: List[Method] = []
         seen: set = set()
-        for holder in self._supertype_order(typedef):
+        for holder in self.ts.supertype_order(typedef):
             if budget is not None and not budget.tick():
                 break
             for method in self._by_exact_type.get(holder.full_name, ()):
@@ -182,20 +181,6 @@ class MethodIndex:
                     seen.add(id(method))
                     result.append(method)
         return result
-
-    def _supertype_order(self, typedef: TypeDef) -> List[TypeDef]:
-        """BFS order over the supertype graph (self first)."""
-        order: List[TypeDef] = []
-        seen = {typedef}
-        queue = deque([typedef])
-        while queue:
-            current = queue.popleft()
-            order.append(current)
-            for parent in self.ts.immediate_supertypes(current):
-                if parent not in seen:
-                    seen.add(parent)
-                    queue.append(parent)
-        return order
 
     def candidate_methods(
         self,

@@ -85,6 +85,23 @@ class TestRoundTrip:
             battery_top10(original, universe)
         assert stats_sans_version(loaded) == stats_sans_version(original)
 
+    def test_type_identity_round_trips(self, universe, tmp_path):
+        original = Workspace.builtin(universe)
+        path = str(tmp_path / "{}.pack".format(universe))
+        build_pack(original, path)
+        loaded = load_pack(path)
+
+        def identities(ts):
+            return sorted((t.full_name, t.namespace, t.name)
+                          for t in ts.all_types())
+
+        assert identities(loaded.ts) == identities(original.ts)
+        for typedef in loaded.ts.all_types():
+            assert typedef.full_name == (
+                "{}.{}".format(typedef.namespace, typedef.name)
+                if typedef.namespace else typedef.name)
+            assert loaded.ts.get(typedef.full_name) is typedef
+
     def test_loaded_indexes_do_not_rebuild(self, tmp_path):
         path = str(tmp_path / "paint.pack")
         build_pack(Workspace.builtin("paint"), path)

@@ -1,10 +1,16 @@
 """Unit tests for the type system: registration, subtyping, type distance."""
 
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import TypeDef, TypeKind, TypeSystem
-from repro.codemodel import Field, LibraryBuilder, Method
+from repro.codemodel import Field, LibraryBuilder, Method, Parameter
+from repro.engine.index import ReachabilityIndex
+from repro.serialize import dump_type_system, load_type_system
+
+from .test_incremental import _pristine
 
 
 @pytest.fixture
@@ -336,3 +342,186 @@ class TestCacheInvalidation:
             assert [t.full_name for t in ts.immediate_supertypes(source)] \
                 == [t.full_name for t in fresh.immediate_supertypes(
                     fresh.get(source.full_name))]
+
+
+def _expected_full_name(typedef):
+    if typedef.namespace:
+        return "{}.{}".format(typedef.namespace, typedef.name)
+    return typedef.name
+
+
+class TestTypeIdentity:
+    """``name`` and ``namespace`` are fixed at construction, so the
+    stored ``full_name`` can never go stale."""
+
+    def test_name_and_namespace_are_read_only(self):
+        typedef = TypeDef("Doc", "N.S")
+        with pytest.raises(AttributeError):
+            typedef.name = "Other"
+        with pytest.raises(AttributeError):
+            typedef.namespace = "M"
+        assert (typedef.name, typedef.namespace, typedef.full_name) == \
+            ("Doc", "N.S", "N.S.Doc")
+        assert TypeDef("int").full_name == "int"
+
+    def test_full_name_of_every_builtin_and_corpus_type(self):
+        from repro.corpus.projects import build_all_projects
+        from repro.ide.workspace import Workspace
+
+        universes = [Workspace.builtin(key).ts
+                     for key in ("paint", "geometry", "bcl")]
+        projects = build_all_projects()
+        assert len(projects) == 7
+        universes += [project.ts for project in projects]
+        for ts in universes:
+            for typedef in ts.all_types():
+                assert typedef.full_name == _expected_full_name(typedef)
+                assert ts.get(typedef.full_name) is typedef
+
+    @pytest.mark.parametrize("universe", ["paint", "geometry", "bcl"])
+    def test_full_name_survives_pickle_and_serialize(self, universe):
+        from repro.ide.workspace import Workspace
+
+        ts = Workspace.builtin(universe).ts
+
+        def identities(universe_ts):
+            return sorted((t.full_name, t.namespace, t.name)
+                          for t in universe_ts.all_types())
+
+        for copy in (pickle.loads(pickle.dumps(ts, pickle.HIGHEST_PROTOCOL)),
+                     load_type_system(dump_type_system(ts))):
+            assert identities(copy) == identities(ts)
+            for typedef in copy.all_types():
+                assert typedef.full_name == _expected_full_name(typedef)
+                assert copy.get(typedef.full_name) is typedef
+
+    def test_unpickled_memos_hold_only_the_copys_types(self):
+        ts = _pristine("paint")
+        for typedef in ts.all_types():
+            ts.supertype_closure(typedef)  # fills all three memos
+        copy = pickle.loads(pickle.dumps(ts, pickle.HIGHEST_PROTOCOL))
+        own = {id(t) for t in copy.all_types()}
+        for memo in ("_supertype_cache", "_supertype_order_cache",
+                     "_closure_cache"):
+            assert set(getattr(copy, memo)) == set(getattr(ts, memo))
+            for walk in getattr(copy, memo).values():
+                assert all(id(t) in own for t in walk), memo
+        for typedef in copy.all_types():
+            assert [t.full_name for t in copy.supertype_order(typedef)] == [
+                t.full_name for t in ts.supertype_order(
+                    ts.get(typedef.full_name))]
+
+
+# ----------------------------------------------------------------------
+# the memoised supertype walk against a from-scratch walk
+# ----------------------------------------------------------------------
+WALK_UNIVERSES = ("paint", "bcl", "scaling/90")
+
+#: one edit: (kind, owner pick, second pick); kinds 0-2 are member
+#: edits, 3-5 structural ones
+WALK_EDITS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 10 ** 6),
+              st.integers(0, 10 ** 6)),
+    min_size=1, max_size=6)
+
+_BUILTIN_NAMES = frozenset(t.full_name for t in TypeSystem().all_types())
+
+
+def _reference_order(ts, typedef):
+    """Breadth-first supertype walk, self first, from
+    ``immediate_supertypes`` alone."""
+    order = [typedef]
+    for current in order:
+        for parent in ts.immediate_supertypes(current):
+            if parent not in order:
+                order.append(parent)
+    return order
+
+
+def _by_name(types):
+    return sorted(types, key=lambda t: t.full_name)
+
+
+def _apply_walk_edit(ts, edit, serial):
+    """Apply one drawn edit to ``ts``; True when it is structural."""
+    kind, pick, other = edit
+    editable = _by_name(t for t in ts.all_types()
+                        if t.full_name not in _BUILTIN_NAMES)
+    owner = editable[pick % len(editable)]
+    types = _by_name(t for t in ts.all_types() if t is not ts.void_type)
+    member_type = types[other % len(types)]
+    if kind == 0:
+        owner.add_field(Field("zzF{}".format(serial), member_type))
+        return False
+    if kind == 1:
+        owner.add_method(Method("ZzM{}".format(serial), member_type,
+                                params=(Parameter("x", member_type),)))
+        return False
+    if kind == 2:
+        owner.set_member_order(fields=list(reversed(owner.fields)),
+                               methods=list(reversed(owner.methods)))
+        return False
+    if kind == 5:
+        ts.register(TypeDef("ZzT{}".format(serial), "Zz",
+                            base=editable[other % len(editable)]))
+        return True
+    # new supertype edges must not close a cycle through ``owner`` (a
+    # universe document cannot describe one)
+    parents = [t for t in editable if t is not owner
+               and owner not in _reference_order(ts, t)]
+    if kind == 3:
+        owner.base = parents[other % len(parents)] if parents else None
+    else:
+        interfaces = [t for t in parents
+                      if t.is_interface and t not in owner.interfaces]
+        if interfaces:
+            owner.interfaces = owner.interfaces + (
+                interfaces[other % len(interfaces)],)
+        else:
+            owner.interfaces = tuple(reversed(owner.interfaces))
+    return True
+
+
+class TestSupertypeWalkMemo:
+    """``supertype_order`` / ``supertype_closure`` are memoised per type
+    until a structural edit; member edits keep the very same objects."""
+
+    @pytest.mark.parametrize("universe", WALK_UNIVERSES)
+    @settings(max_examples=10, deadline=None)
+    @given(edits=WALK_EDITS)
+    def test_walk_memo_equals_fresh_walk(self, universe, edits):
+        ts = _pristine(universe)
+        index = ReachabilityIndex(ts)
+        sources = _by_name(ts.all_types())[::4]
+        for source in sources:
+            for allow_methods in (False, True):
+                index.reachable(source, allow_methods)
+        for serial, edit in enumerate(edits):
+            before = {
+                t.full_name: (ts.supertype_order(t), ts.supertype_closure(t))
+                for t in ts.all_types()
+            }
+            structural = _apply_walk_edit(ts, edit, serial)
+            fresh = load_type_system(dump_type_system(ts))
+            for typedef in ts.all_types():
+                order = ts.supertype_order(typedef)
+                closure = ts.supertype_closure(typedef)
+                assert [t.full_name for t in order] == [
+                    t.full_name for t in _reference_order(
+                        fresh, fresh.get(typedef.full_name))]
+                assert closure == frozenset(order)
+                memo = before.get(typedef.full_name)
+                if memo is None:
+                    continue  # registered by this edit
+                if structural:
+                    assert order is not memo[0] and closure is not memo[1]
+                else:
+                    assert order is memo[0] and closure is memo[1]
+            fresh_index = ReachabilityIndex(fresh)
+            for source in sources:
+                for allow_methods in (False, True):
+                    key = (source.full_name, allow_methods)
+                    assert index.reachable(source, allow_methods) == \
+                        fresh_index.reachable(fresh.get(source.full_name),
+                                              allow_methods)
+                    assert index._walk_fp[key] == fresh_index._walk_fp[key]
