@@ -165,12 +165,11 @@ def _sniff_format(path: str) -> Optional[str]:
 
 
 def open_workspace(
-    source: Union[str, TypeSystem, None] = None,
+    source: Union[str, TypeSystem],
     config: Optional[EngineConfig] = None,
     cache_enabled: Optional[bool] = None,
     *,
     expect_fingerprint: Optional[str] = None,
-    universe: Union[str, TypeSystem, None] = None,
 ) -> Workspace:
     """The one constructor: a :class:`Workspace` from any universe
     source.
@@ -187,19 +186,8 @@ def open_workspace(
 
     ``expect_fingerprint`` pins the universe content hash: the call
     raises :class:`~repro.errors.PackStaleError` when the opened
-    universe's :meth:`~TypeSystem.fingerprint` disagrees.  The
-    ``universe=`` keyword is the deprecated name for ``source``.
+    universe's :meth:`~TypeSystem.fingerprint` disagrees.
     """
-    if universe is not None:
-        from .deprecation import warn_deprecated
-
-        warn_deprecated("open_workspace(universe=...)",
-                        "open_workspace(source)")
-        if source is None:
-            source = universe
-    if source is None:
-        raise TypeError("open_workspace() needs a source: a builtin key, "
-                        "a TypeSystem, or an artifact path")
     if isinstance(source, TypeSystem):
         workspace = Workspace(source, config=config,
                               cache_enabled=cache_enabled)
@@ -338,14 +326,13 @@ def complete(
 def complete_many(
     workspace: Workspace,
     sources: List[str],
-    parallelism: int = 1,
     **scope,
 ) -> List[QueryRecord]:
     """Complete a batch of partial expressions under one shared scope
     (same keywords as :func:`complete`); indexes warm once and the
     queries share the cross-query cache."""
     session = _session(workspace, **scope)
-    return session.complete_many(sources, parallelism=parallelism)
+    return session.complete_many(sources)
 
 
 def explain(

@@ -20,7 +20,6 @@ from .completer import (
 from .index import MethodIndex, ReachabilityIndex
 from .ranking import AbstractTypeOracle, Ranker, RankingConfig
 from .streams import (
-    SharedStream,
     check_stream,
     sanitize_streams,
     sanitizer_active,
@@ -43,7 +42,6 @@ __all__ = [
     "Ranker",
     "RankingConfig",
     "ReachabilityIndex",
-    "SharedStream",
     "TRUNCATED_BUDGET",
     "TRUNCATED_CANCELLED",
     "TRUNCATED_TIMEOUT",

@@ -17,7 +17,7 @@ on one engine:
   the edited types' groups.
 * **sub-streams** — completions of a subexpression under a given
   (context, target type, config) key, kept as re-playable
-  :class:`~repro.engine.streams.SharedStream` prefixes.  A second query
+  :class:`~repro.engine.streams.Materialized` prefixes.  A second query
   asking for the same sub-stream replays the computed prefix from
   memory and only extends it past the known frontier.  Whole-query
   result streams are cached the same way under a distinct tag.
@@ -76,10 +76,11 @@ cannot safely share state (see ``CompletionEngine._stream_cache``):
   mask an injected fault (and a faulted result must not poison the
   cache).
 
-Everything is guarded by one re-entrant lock so ``complete_many`` can
-shard a batch across threads; stream *pulls* are serialised by each
-``SharedStream``'s own lock (the cache lock is never held while
-pulling, so the two levels cannot deadlock).
+The cache, like the engine that owns it, is used from one thread.  Its
+one re-entrant lock exists only so that :meth:`CompletionCache.snapshot`
+can be read from another thread (``repro serve`` reports a tenant's
+cache stats from the server thread while the tenant's own thread runs
+queries).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from typing import (
 from ..analysis.deps import QueryFootprint, method_param_types
 from ..analysis.scope import Context
 from ..codemodel.typesystem import TypeSystem
-from .streams import Scored, SharedStream
+from .streams import Materialized, Scored
 
 #: sentinel distinguishing "cached None" from "not cached"
 _MISSING = object()
@@ -294,7 +295,7 @@ class CompletionCache:
         self.fine = fine
         self.stats = CacheStats()
         self._version: Optional[int] = None
-        self._streams: "OrderedDict[Hashable, SharedStream]" = OrderedDict()
+        self._streams: "OrderedDict[Hashable, Materialized]" = OrderedDict()
         self._stream_fp = _FootprintIndex()
         self._roots: Dict[Hashable, _RootPool] = {}
         self._placements: "OrderedDict[Hashable, Any]" = OrderedDict()
@@ -387,7 +388,7 @@ class CompletionCache:
         key: Hashable,
         make: Callable[[], Iterable[Scored]],
         footprint: Optional[Callable[[], Footprint]] = None,
-    ) -> Tuple[SharedStream, bool]:
+    ) -> Tuple[Materialized, bool]:
         """The shared re-playable stream under ``key``, creating it from
         ``make()`` on a miss.  Returns ``(stream, was_hit)``.
 
@@ -408,7 +409,7 @@ class CompletionCache:
                 self.stats.stream_hits += 1
                 return shared, True
             self.stats.stream_misses += 1
-            shared = SharedStream(make())
+            shared = Materialized(make())
             self._streams[key] = shared
             self._stream_fp.record(
                 key,
@@ -422,7 +423,7 @@ class CompletionCache:
 
     def peek(
         self, ts: TypeSystem, key: Hashable
-    ) -> Optional[SharedStream]:
+    ) -> Optional[Materialized]:
         """The shared stream under ``key`` if present and healthy, else
         ``None`` — a read-only probe that never creates an entry.
 

@@ -47,7 +47,6 @@ from typing import (
 )
 
 from ..analysis.scope import Context
-from ..deprecation import warn_deprecated
 from ..obs.attribution import ScoreBreakdown
 from ..obs.metrics import DEFAULT_BOUNDS, Metrics
 from ..obs.runlog import RunLog
@@ -155,8 +154,8 @@ class Completion(NamedTuple):
 
 
 class QueryStatus(enum.Enum):
-    """How a query concluded — the one field consolidating the legacy
-    ``QueryOutcome.truncated`` / ``.unsatisfiable`` flags.
+    """How a query concluded: complete, truncated (and why), or proven
+    unsatisfiable.
 
     ``OK`` also covers an empty-but-complete answer; the three
     truncation members carry the same wire values the budget layer uses
@@ -203,10 +202,6 @@ class QueryOutcome:
     were neutralised during ranking (see :class:`Ranker`).  ``trace``
     is the exported span list when the query ran with tracing on
     (``None`` otherwise; see ``docs/OBSERVABILITY.md``).
-
-    The pre-facade spellings — ``.truncated``, ``.unsatisfiable``,
-    ``.preflight`` — remain as read-only properties that emit a
-    ``DeprecationWarning``.
     """
 
     def __init__(
@@ -230,25 +225,6 @@ class QueryOutcome:
         #: cache (``steps`` is then the cost of the replay: usually 0)
         self.cached = cached
         self.trace = trace
-
-    # -- deprecated spellings (the facade consolidated these) ----------
-    @property
-    def truncated(self) -> Optional[str]:
-        warn_deprecated("QueryOutcome.truncated",
-                        "QueryOutcome.status.truncation")
-        return self.status.truncation
-
-    @property
-    def unsatisfiable(self) -> bool:
-        warn_deprecated("QueryOutcome.unsatisfiable",
-                        "QueryOutcome.status is QueryStatus.UNSATISFIABLE")
-        return self.status is QueryStatus.UNSATISFIABLE
-
-    @property
-    def preflight(self) -> Optional[object]:
-        warn_deprecated("QueryOutcome.preflight",
-                        "QueryOutcome.preflight_report")
-        return self.preflight_report
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryOutcome):
@@ -274,8 +250,7 @@ class CompletionRequest:
 
     Budget *parameters* rather than a :class:`QueryBudget` instance: the
     budget starts its clock at construction, so the engine builds it when
-    the query actually runs — not when the batch is assembled (under a
-    thread pool the two can be far apart).
+    the query actually runs, not when the batch is assembled.
     """
 
     pe: Expr
@@ -310,6 +285,9 @@ class CompletionEngine:
     The engine is long-lived (it owns the method/reachability indexes built
     from the type system); per-query state — scope context, abstract-type
     oracle, expected result type — is passed to each call.
+
+    An engine is not thread-safe: it and its cached streams must stay on
+    one thread, as each ``repro serve`` tenant's one-worker executor does.
     """
 
     def __init__(
@@ -323,18 +301,21 @@ class CompletionEngine:
     ) -> None:
         self.ts = ts
         self.config = config or EngineConfig()
-        self.index = index or MethodIndex(ts)
-        self.reachability = reachability or ReachabilityIndex(
-            ts, max_depth=self.config.max_chain_depth + 1
-        )
-        self.cache = cache or (
-            CompletionCache(fine=self.config.fine_invalidation)
-            if self.config.enable_cache else None
-        )
+        if index is None:
+            index = MethodIndex(ts)
+        if reachability is None:
+            reachability = ReachabilityIndex(
+                ts, max_depth=self.config.max_chain_depth + 1
+            )
+        if cache is None and self.config.enable_cache:
+            cache = CompletionCache(fine=self.config.fine_invalidation)
+        self.index = index
+        self.reachability = reachability
+        self.cache = cache
         #: engine-wide observability counters and histograms (always on
         #: — per-query cost is a handful of dict increments); metric
         #: names are listed in docs/OBSERVABILITY.md
-        self.metrics = metrics or Metrics()
+        self.metrics = metrics if metrics is not None else Metrics()
         #: structured run log (:mod:`repro.obs.runlog`): when attached,
         #: every finished query appends one ``kind == "query"`` record
         #: (with its span tree when traced) and ``complete_many``
@@ -838,16 +819,13 @@ class CompletionEngine:
     def complete_many(
         self,
         requests: Sequence[CompletionRequest],
-        parallelism: int = 1,
     ) -> List[QueryOutcome]:
-        """Run a batch of queries against shared warm state.
+        """Run a batch of queries, in order, against shared warm state.
 
-        The engine is warmed once, every query shares the cross-query
-        cache, and with ``parallelism > 1`` independent queries are
-        sharded across a thread pool (each still under its own
-        :class:`QueryBudget`, built from the request's budget parameters
-        at the moment the query starts).  Outcomes are returned in
-        request order.
+        The engine is warmed once and every query shares the cross-query
+        cache; each query still runs under its own :class:`QueryBudget`,
+        built from the request's budget parameters when the query starts.
+        Outcomes are returned in request order.
         """
         requests = list(requests)
         if not requests:
@@ -856,11 +834,9 @@ class CompletionEngine:
         self.metrics.incr("batches")
         self.metrics.observe("batch_size", len(requests))
         if self.run_log is not None:
-            self.run_log.event("batch", size=len(requests),
-                               parallelism=parallelism)
-
-        def run(request: CompletionRequest) -> QueryOutcome:
-            return self.complete_query(
+            self.run_log.event("batch", size=len(requests))
+        outcomes = [
+            self.complete_query(
                 request.pe,
                 request.context,
                 n=request.n,
@@ -870,15 +846,8 @@ class CompletionEngine:
                 budget=request.make_budget(),
                 trace=request.trace,
             )
-
-        if parallelism > 1 and len(requests) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = min(parallelism, len(requests))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, requests))
-        else:
-            outcomes = [run(request) for request in requests]
+            for request in requests
+        ]
         self._annotate_cache_attribution()
         return outcomes
 
@@ -1043,7 +1012,7 @@ class _Query:
         self.degraded = self.ranker.degraded
         #: cross-query memo handles (None = this query must run cold).
         #: A traced query always runs on private streams: the tracer's
-        #: counting wrappers must never end up inside a SharedStream
+        #: counting wrappers must never end up inside a cached stream
         #: that later untraced queries would replay.  Placement memos
         #: carry no wrapped streams, so they stay on.
         self.cache = (
@@ -1072,10 +1041,9 @@ class _Query:
         target: Optional[TypeDef],
         make: Callable[[], Iterable[Scored]],
     ):
-        """A re-playable stream for a subexpression, shared across
-        queries when caching is on, private otherwise.  Both shapes
-        support ``get``/``known_length``/``__iter__``, so they slot into
-        ``ordered_product`` interchangeably."""
+        """A re-playable :class:`Materialized` stream for a
+        subexpression: the cache's shared one when caching is on, a
+        private one otherwise."""
         if self.cache is None:
             return Materialized(make())
         key = (

@@ -7,7 +7,9 @@ result set.  These combinators are the machinery: every stream yields
 combinator preserves that invariant:
 
 * :func:`merge` — lazy k-way merge of sorted streams;
-* :class:`Materialized` — memoises a stream for random access;
+* :class:`Materialized` — memoises a stream for random access and replay
+  (the one re-playable stream class: private per query, or shared across
+  queries by the cross-query cache);
 * :func:`ordered_product` — tuples from several streams in order of total
   score (the "all choices of exactly one completion for each subexpression"
   loop of Algorithm 1);
@@ -40,7 +42,6 @@ enabled; production queries leave it off.
 from __future__ import annotations
 
 import heapq
-import threading
 from contextlib import contextmanager
 from functools import wraps
 from itertools import count
@@ -168,51 +169,13 @@ def merge(
 
 
 class Materialized(Generic[T]):
-    """Random access over a scored stream, pulling lazily and memoising."""
+    """Random access over a scored stream, pulling lazily and memoising.
 
-    def __init__(self, stream: Iterable[Scored]) -> None:
-        self._iterator = iter(stream)
-        self._items: List[Scored] = []
-        self._exhausted = False
-
-    def get(self, index: int) -> Optional[Scored]:
-        """Item at ``index``, or ``None`` when the stream is shorter."""
-        while not self._exhausted and len(self._items) <= index:
-            item = next(self._iterator, None)
-            if item is None:
-                self._exhausted = True
-            else:
-                self._items.append(item)
-        if index < len(self._items):
-            return self._items[index]
-        return None
-
-    def known_length(self) -> int:
-        """Items pulled so far (a lower bound on the true length)."""
-        return len(self._items)
-
-    def __iter__(self) -> ScoredIter:
-        index = 0
-        while True:
-            item = self.get(index)
-            if item is None:
-                return
-            yield item
-            index += 1
-
-
-class SharedStream(Generic[T]):
-    """A :class:`Materialized` that many queries (and threads) can replay.
-
-    The cross-query cache (:mod:`repro.engine.cache`) hands the same
-    ``SharedStream`` to every query asking for the same sub-stream: the
-    prefix pulled so far is replayed from memory, and only pulls past the
-    known prefix advance the shared underlying iterator.  Pulling is
-    serialised by a re-entrant lock — a generator being advanced from two
-    batch-sharded threads at once would corrupt its frame.  Lock nesting
-    follows strict subexpression containment (a stream only ever pulls
-    streams of its own subexpressions), so ordering is acyclic and
-    deadlock-free.
+    The prefix pulled so far is replayed from memory; only pulls past it
+    advance the underlying iterator.  The cross-query cache
+    (:mod:`repro.engine.cache`) hands the same ``Materialized`` to every
+    query asking for the same sub-stream.  There is no lock: an engine
+    and its streams stay on one thread.
 
     If the underlying iterator raises, the error is remembered and
     re-raised on every later pull past the computed prefix: a stream that
@@ -224,31 +187,29 @@ class SharedStream(Generic[T]):
         self._items: List[Scored] = []
         self._exhausted = False
         self._error: Optional[BaseException] = None
-        self._lock = threading.RLock()
 
     def get(self, index: int) -> Optional[Scored]:
         """Item at ``index``, or ``None`` when the stream is shorter."""
-        with self._lock:
-            while not self._exhausted and len(self._items) <= index:
-                if self._error is not None:
-                    raise self._error
-                try:
-                    item = next(self._iterator)
-                except StopIteration:
-                    self._exhausted = True
-                except BaseException as error:
-                    self._error = error
-                    raise
-                else:
-                    self._items.append(item)
-            if index < len(self._items):
-                return self._items[index]
-            return None
+        items = self._items
+        while not self._exhausted and len(items) <= index:
+            if self._error is not None:
+                raise self._error
+            try:
+                item = next(self._iterator)
+            except StopIteration:
+                self._exhausted = True
+            except BaseException as error:
+                self._error = error
+                raise
+            else:
+                items.append(item)
+        if index < len(items):
+            return items[index]
+        return None
 
     def known_length(self) -> int:
         """Items pulled so far (a lower bound on the true length)."""
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     @property
     def broken(self) -> bool:

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.scope import Context
 from ..codemodel.types import TypeDef
-from ..deprecation import warn_deprecated
 from ..engine.budget import CancellationToken, QueryBudget
 from ..engine.completer import Completion, QueryStatus
 from ..engine.ranking import AbstractTypeOracle
@@ -234,11 +233,6 @@ class CompletionSession:
         self.history.append(record)
         return record
 
-    def query(self, source: str) -> QueryRecord:
-        """Deprecated alias for :meth:`complete`."""
-        warn_deprecated("CompletionSession.query", "CompletionSession.complete")
-        return self.complete(source)
-
     def explain(
         self, rank: Optional[int] = None, source: Optional[str] = None
     ) -> List[Completion]:
@@ -268,14 +262,12 @@ class CompletionSession:
             budget=self._make_budget(),
         )
 
-    def complete_many(
-        self, sources: List[str], parallelism: int = 1
-    ) -> List[QueryRecord]:
+    def complete_many(self, sources: List[str]) -> List[QueryRecord]:
         """Parse and complete a batch of partial expressions through
         :meth:`CompletionEngine.complete_many`, so every query shares the
-        warmed indexes and the cross-query cache (and, with
-        ``parallelism > 1``, a thread pool).  Records are appended to the
-        history in input order; parse failures consume no engine time.
+        warmed indexes and the cross-query cache.  Records are appended
+        to the history in input order; parse failures consume no engine
+        time.
         """
         from ..engine.completer import CompletionRequest
 
@@ -303,21 +295,11 @@ class CompletionSession:
                 trace=self.trace or None,
             ))
             targets.append(record)
-        outcomes = self.workspace.engine.complete_many(
-            requests, parallelism=parallelism
-        )
+        outcomes = self.workspace.engine.complete_many(requests)
         for record, outcome in zip(targets, outcomes):
             self._fill_record(record, outcome)
         self.history.extend(records)
         return records
-
-    def query_many(
-        self, sources: List[str], parallelism: int = 1
-    ) -> List[QueryRecord]:
-        """Deprecated alias for :meth:`complete_many`."""
-        warn_deprecated("CompletionSession.query_many",
-                        "CompletionSession.complete_many")
-        return self.complete_many(sources, parallelism=parallelism)
 
     def analyze(self, source: str):
         """Pre-flight a query without running it (the REPL's ``:lint``).

@@ -17,7 +17,6 @@ from ..codemodel.types import TypeDef
 from ..codemodel.typesystem import TypeSystem
 from ..corpus.oracle import ImplAbstractTypes
 from ..corpus.program import MethodImpl, Project
-from ..deprecation import warn_deprecated
 from ..engine.completer import CompletionEngine, EngineConfig
 from ..engine.ranking import AbstractTypeOracle
 
@@ -26,8 +25,7 @@ class Workspace:
     """A universe plus the engine and analyses built over it.
 
     ``cache_enabled`` (constructor argument and read/write property) is
-    the one switch for cross-query caching; it subsumes the deprecated
-    :meth:`set_cache_enabled`.
+    the one switch for cross-query caching.
     """
 
     def __init__(
@@ -62,46 +60,15 @@ class Workspace:
     # constructors for the bundled universes
     # ------------------------------------------------------------------
     @classmethod
-    def paintdotnet(cls, config: Optional[EngineConfig] = None) -> "Workspace":
-        """Deprecated: use ``Workspace.builtin("paint")`` (or
-        :func:`repro.api.open_workspace`)."""
-        warn_deprecated("Workspace.paintdotnet()",
-                        'Workspace.builtin("paint")')
-        return cls.builtin("paint", config)
-
-    @classmethod
-    def geometry(cls, config: Optional[EngineConfig] = None) -> "Workspace":
-        """Deprecated: use ``Workspace.builtin("geometry")`` (or
-        :func:`repro.api.open_workspace`)."""
-        warn_deprecated("Workspace.geometry()",
-                        'Workspace.builtin("geometry")')
-        return cls.builtin("geometry", config)
-
-    @classmethod
-    def mini_bcl(cls, config: Optional[EngineConfig] = None) -> "Workspace":
-        """Deprecated: use ``Workspace.builtin("bcl")`` (or
-        :func:`repro.api.open_workspace`)."""
-        warn_deprecated("Workspace.mini_bcl()", 'Workspace.builtin("bcl")')
-        return cls.builtin("bcl", config)
-
-    @classmethod
     def corpus_project(
         cls, project: Project, config: Optional[EngineConfig] = None
     ) -> "Workspace":
         return cls(project.ts, name=project.name, config=config,
                    project=project)
 
-    #: registry used by the CLI's ``--universe`` flag (key -> the
-    #: historical constructor name; kept for compatibility — resolution
-    #: goes through the builder table below, not ``getattr``)
-    BUILTIN: Dict[str, str] = {
-        "paint": "paintdotnet",
-        "geometry": "geometry",
-        "bcl": "mini_bcl",
-    }
-
+    #: the bundled universes behind the CLI's ``--universe`` flag:
     #: key -> (workspace name, corpus builder name)
-    _BUILTIN_BUILDERS: Dict[str, tuple] = {
+    BUILTIN: Dict[str, tuple] = {
         "paint": ("paintdotnet", "build_paintdotnet"),
         "geometry": ("geometry", "build_geometry"),
         "bcl": ("mini-bcl", "build_system_core"),
@@ -110,7 +77,7 @@ class Workspace:
     @classmethod
     def builtin(cls, key: str, config: Optional[EngineConfig] = None) -> "Workspace":
         try:
-            name, builder_name = cls._BUILTIN_BUILDERS[key]
+            name, builder_name = cls.BUILTIN[key]
         except KeyError:
             raise ValueError(
                 "unknown universe {!r}; pick one of {}".format(
@@ -157,11 +124,11 @@ class Workspace:
     # ------------------------------------------------------------------
     # batched queries and the cross-query cache
     # ------------------------------------------------------------------
-    def complete_many(self, requests, parallelism: int = 1):
+    def complete_many(self, requests):
         """Run a batch of :class:`~repro.engine.completer.CompletionRequest`
         objects against this workspace's engine — indexes are warmed once
         and every query in the batch shares the cross-query cache."""
-        return self.engine.complete_many(requests, parallelism=parallelism)
+        return self.engine.complete_many(requests)
 
     def cache_stats(self) -> Optional[dict]:
         """Hit/miss counters of the engine's cross-query cache, or
@@ -190,12 +157,6 @@ class Workspace:
                 fine=self.engine.config.fine_invalidation)
         if not enabled and self.engine.cache is not None:
             self.engine.cache.clear()
-
-    def set_cache_enabled(self, enabled: bool) -> None:
-        """Deprecated: assign :attr:`cache_enabled` instead."""
-        warn_deprecated("Workspace.set_cache_enabled",
-                        "the Workspace.cache_enabled property")
-        self.cache_enabled = enabled
 
     def metrics(self) -> dict:
         """JSON-ready snapshot of the engine's observability registry

@@ -29,20 +29,6 @@ def update_golden(request):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_deprecation_memo():
-    """Each test sees deprecation warnings afresh.
-
-    Shims warn once per call site per process; without the reset, the
-    first test hitting a shim would consume the warning for every later
-    test asserting on it.
-    """
-    from repro.deprecation import reset_deprecation_memo
-
-    reset_deprecation_memo()
-    yield
-
-
-@pytest.fixture(autouse=True)
 def _stream_sanitizer():
     """Run every test with the stream-invariant sanitizer enabled.
 

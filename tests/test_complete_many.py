@@ -66,21 +66,6 @@ class TestCompleteMany:
         assert batch[1].cached
         assert batch[1].steps == 0
 
-    def test_parallel_batch_matches_sequential_batch(self):
-        workspace, context = _paint()
-        sources = ["?", "?({img, size})", "img.?*f", "img.?m", "size := ?"]
-        sequential = workspace.complete_many(_requests(context, sources))
-
-        fresh = Workspace.builtin("paint")
-        fresh_context = fresh.context(locals={
-            "img": fresh.resolve_type("PaintDotNet.Document"),
-            "size": fresh.resolve_type("System.Drawing.Size"),
-        })
-        parallel = fresh.complete_many(
-            _requests(fresh_context, sources), parallelism=4)
-
-        assert [_keys(o) for o in sequential] == [_keys(o) for o in parallel]
-
     def test_budget_parameters_build_fresh_budgets(self):
         workspace, context = _paint()
         request = CompletionRequest(
@@ -88,7 +73,7 @@ class TestCompleteMany:
             max_steps=5,
         )
         outcome, = workspace.complete_many([request])
-        assert outcome.truncated == "budget"
+        assert outcome.status.truncation == "budget"
         assert outcome.steps <= 6
 
     def test_empty_batch(self):
@@ -102,21 +87,21 @@ class TestSessionQueryMany:
         session = CompletionSession(workspace)
         session.declare("img", "PaintDotNet.Document")
         sources = ["?({img})", "img.?*f"]
-        records = session.query_many(sources)
+        records = session.complete_many(sources)
 
         single = CompletionSession(
             Workspace.builtin("paint", config=EngineConfig(enable_cache=False))
         )
         single.declare("img", "PaintDotNet.Document")
         for source, record in zip(sources, records):
-            expected = single.query(source)
+            expected = single.complete(source)
             assert [s.text for s in record.suggestions] == \
                 [s.text for s in expected.suggestions]
 
     def test_query_many_reports_parse_errors_in_place(self):
         workspace, _ = _paint()
         session = CompletionSession(workspace)
-        records = session.query_many(["?", "((", "?"])
+        records = session.complete_many(["?", "((", "?"])
         assert records[0].error is None
         assert records[1].error is not None
         assert records[2].error is None
@@ -125,7 +110,7 @@ class TestSessionQueryMany:
     def test_query_many_extends_history_in_order(self):
         workspace, _ = _paint()
         session = CompletionSession(workspace)
-        session.query_many(["?", "?"])
+        session.complete_many(["?", "?"])
         assert [record.source for record in session.history] == ["?", "?"]
 
 

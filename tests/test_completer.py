@@ -228,3 +228,25 @@ class TestEngineConfig:
         top_default = [c.expr.method.name for c in default.complete(pe, paint_context, n=5)]
         top_no_t = [c.expr.method.name for c in no_t.complete(pe, paint_context, n=5)]
         assert top_default != top_no_t
+
+
+class TestInjectedState:
+    def test_injected_state_is_kept_even_when_empty(self):
+        """An index over a universe with no methods has ``len() == 0``;
+        the engine must still use it rather than build its own."""
+        from repro import MethodIndex, ReachabilityIndex, TypeSystem
+        from repro.engine import CompletionCache
+        from repro.obs import Metrics
+
+        ts = TypeSystem()
+        index = MethodIndex(ts)
+        assert len(index) == 0
+        reachability = ReachabilityIndex(ts)
+        cache = CompletionCache()
+        metrics = Metrics()
+        engine = CompletionEngine(ts, index=index, reachability=reachability,
+                                  cache=cache, metrics=metrics)
+        assert engine.index is index
+        assert engine.reachability is reachability
+        assert engine.cache is cache
+        assert engine.metrics is metrics

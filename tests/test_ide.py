@@ -57,53 +57,53 @@ class TestSession:
         return session
 
     def test_query_returns_ranked_suggestions(self, session):
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         assert record.error is None
         assert record.suggestions[0].rank == 1
         assert "ResizeDocument" in record.suggestions[0].text
 
     def test_parse_error_is_captured(self, session):
-        record = session.query("img @@@")
+        record = session.complete("img @@@")
         assert record.error is not None
         assert record.suggestions == []
 
     def test_history_accumulates(self, session):
-        session.query("?({img})")
-        session.query("img.?m")
+        session.complete("?({img})")
+        session.complete("img.?m")
         assert len(session.history) == 2
         assert session.last().source == "img.?m"
 
     def test_accept_turns_zeros_into_holes(self, session):
-        session.query("?({img, size})")
+        session.complete("?({img, size})")
         refined = session.accept(1)
         assert refined is not None
         assert "0" not in refined
         assert "?" in refined
         # the refined source must itself be a valid query
-        record = session.query(refined)
+        record = session.complete(refined)
         assert record.error is None
         assert record.suggestions
 
     def test_accept_out_of_range(self, session):
-        session.query("?({img})")
+        session.complete("?({img})")
         assert session.accept(999) is None
 
     def test_accept_with_empty_history(self, session):
         assert session.accept(1) is None
 
     def test_accept_nonpositive_rank(self, session):
-        session.query("?({img})")
+        session.complete("?({img})")
         assert session.accept(0) is None
         assert session.accept(-3) is None
 
     def test_accept_after_errored_query(self, session):
-        session.query("?({img})")
-        session.query("img @@@")  # the *last* query has no suggestions
+        session.complete("?({img})")
+        session.complete("img @@@")  # the *last* query has no suggestions
         assert session.accept(1) is None
 
     def test_expected_type_filter(self, session):
         session.set_expected("Document")
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         workspace = session.workspace
         doc = workspace.resolve_type("Document")
         for suggestion in record.suggestions:
@@ -111,7 +111,7 @@ class TestSession:
 
     def test_keyword_filter(self, session):
         session.keyword = "resize"
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         assert record.suggestions
         assert all("Resize" in s.text for s in record.suggestions)
 
@@ -130,7 +130,7 @@ class TestAutoComplete:
         assert final is not None
         assert "0" not in final and "?" not in final
         # the final text is itself parseable and complete
-        record = session.query(final)
+        record = session.complete(final)
         assert record.error is None
 
     def test_already_concrete_query(self, session):

@@ -7,13 +7,11 @@ The load-bearing guarantees:
   batteries);
 * every :class:`ScoreBreakdown` sums exactly to the ranked score for
   every golden completion in every builtin universe;
-* cache-replayed outcomes still trace and explain (marked ``cached``);
-* the deprecated spellings warn but keep working.
+* cache-replayed outcomes still trace and explain (marked ``cached``).
 """
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -290,89 +288,6 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# deprecated spellings
-# ---------------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_session_query_warns_and_works(self):
-        session = CompletionSession(Workspace.builtin("bcl"), n=5)
-        session.declare("now", "System.DateTime")
-        with pytest.warns(DeprecationWarning, match="CompletionSession.query"):
-            old = session.query("now.?m")
-        new = session.complete("now.?m")
-        assert [s.text for s in old.suggestions] \
-            == [s.text for s in new.suggestions]
-
-    def test_workspace_set_cache_enabled_warns(self):
-        workspace = Workspace.builtin("bcl")
-        with pytest.warns(DeprecationWarning, match="set_cache_enabled"):
-            workspace.set_cache_enabled(False)
-        assert workspace.cache_enabled is False
-        workspace.cache_enabled = True
-        assert workspace.cache_enabled is True
-
-    def test_outcome_boolean_properties_warn(self):
-        ts, context = _universe("bcl")
-        engine = CompletionEngine(ts)
-        outcome = engine.complete_query(parse("?({now})", context), context)
-        with pytest.warns(DeprecationWarning, match="QueryOutcome.truncated"):
-            assert outcome.truncated is None
-        with pytest.warns(DeprecationWarning,
-                          match="QueryOutcome.unsatisfiable"):
-            assert outcome.unsatisfiable is False
-        with pytest.warns(DeprecationWarning, match="QueryOutcome.preflight"):
-            outcome.preflight
-        assert outcome.status is QueryStatus.OK
-
-    def test_status_round_trips_truncation(self):
-        assert QueryStatus.from_truncation(None) is QueryStatus.OK
-        for reason in ("timeout", "budget", "cancelled"):
-            status = QueryStatus.from_truncation(reason)
-            assert status.truncation == reason
-            assert status.is_truncated
-
-    def test_shim_warns_once_per_call_site(self):
-        workspace = Workspace.builtin("bcl")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                workspace.set_cache_enabled(True)   # one call site
-            workspace.set_cache_enabled(True)       # a different one
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_warning_attributed_to_the_caller_file(self):
-        workspace = Workspace.builtin("bcl")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workspace.set_cache_enabled(True)
-        assert caught[0].filename == __file__
-
-    def test_error_filter_keeps_failing_at_the_same_site(self):
-        # the memo records a site only after warn() returns: pinning
-        # shims with an error filter must fail on *every* use, not
-        # just the first
-        session = CompletionSession(Workspace.builtin("bcl"), n=3)
-        session.declare("now", "System.DateTime")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for _ in range(2):
-                with pytest.raises(DeprecationWarning):
-                    session.query("now.?m")
-
-    def test_reset_restores_warning(self):
-        from repro.deprecation import reset_deprecation_memo
-
-        workspace = Workspace.builtin("bcl")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                reset_deprecation_memo()
-                workspace.set_cache_enabled(True)
-        assert len(caught) == 2
-
-
-# ---------------------------------------------------------------------------
 # CLI: --trace/--explain and the stats subcommand
 # ---------------------------------------------------------------------------
 class TestCli:
@@ -481,3 +396,17 @@ class TestFacade:
             workspace, query="point.?*m",
             locals={"point": "DynamicGeometry.Point"})
         assert isinstance(diagnostics, list)
+
+    def test_status_round_trips_truncation(self):
+        assert QueryStatus.from_truncation(None) is QueryStatus.OK
+        for reason in ("timeout", "budget", "cancelled"):
+            status = QueryStatus.from_truncation(reason)
+            assert status.truncation == reason
+            assert status.is_truncated
+
+    def test_cache_enabled_property_round_trips(self):
+        workspace = Workspace.builtin("bcl")
+        workspace.cache_enabled = False
+        assert workspace.cache_enabled is False
+        workspace.cache_enabled = True
+        assert workspace.cache_enabled is True

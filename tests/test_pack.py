@@ -386,22 +386,6 @@ class TestOpenWorkspace:
         with pytest.raises(TypeError):
             open_workspace()
 
-    def test_universe_keyword_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workspace = open_workspace(universe="geometry")
-        assert workspace.name == "geometry"
-        assert any("open_workspace(universe=...)" in str(w.message)
-                   for w in caught)
-
-    def test_deprecated_classmethods_warn_and_still_work(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workspace = Workspace.paintdotnet()
-        assert workspace.name == "paintdotnet"
-        assert any("Workspace.paintdotnet()" in str(w.message)
-                   for w in caught)
-
     def test_builtin_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -21,7 +21,7 @@ from repro.__main__ import (
 from repro.analysis import preflight_query
 from repro.codemodel import TypeDef
 from repro.engine.budget import QueryBudget
-from repro.engine.completer import EngineConfig
+from repro.engine.completer import EngineConfig, QueryStatus
 from repro.ide.repl import run_repl
 from repro.ide.session import CompletionSession
 from repro.ide.workspace import Workspace
@@ -121,11 +121,11 @@ class TestEngineShortCircuit:
             parse("?", paint_context), paint_context,
             expected_type=paint.ts.void_type, budget=budget,
         )
-        assert outcome.unsatisfiable
+        assert outcome.status is QueryStatus.UNSATISFIABLE
         assert outcome.steps == 0
         assert outcome.completions == []
-        assert outcome.preflight is not None
-        assert "RA020" in [d.code for d in outcome.preflight.diagnostics]
+        assert outcome.preflight_report is not None
+        assert "RA020" in [d.code for d in outcome.preflight_report.diagnostics]
 
     def test_short_circuit_without_budget(self, paint, paint_engine,
                                           paint_context):
@@ -133,7 +133,7 @@ class TestEngineShortCircuit:
             parse("?", paint_context), paint_context,
             expected_type=paint.ts.void_type,
         )
-        assert outcome.unsatisfiable and outcome.steps == 0
+        assert outcome.status is QueryStatus.UNSATISFIABLE and outcome.steps == 0
 
     def test_preflight_can_be_disabled(self, paint, paint_context):
         engine = CompletionEngine(paint.ts,
@@ -144,7 +144,7 @@ class TestEngineShortCircuit:
             budget=QueryBudget(max_steps=500),
         )
         # the search runs (and finds nothing) instead of being skipped
-        assert not outcome.unsatisfiable
+        assert outcome.status is not QueryStatus.UNSATISFIABLE
         assert outcome.steps > 0
         assert outcome.completions == []
 
@@ -153,8 +153,8 @@ class TestEngineShortCircuit:
         outcome = paint_engine.complete_query(
             parse("?({img, size})", paint_context), paint_context,
         )
-        assert not outcome.unsatisfiable
-        assert outcome.preflight is None
+        assert outcome.status is not QueryStatus.UNSATISFIABLE
+        assert outcome.preflight_report is None
         assert outcome.completions
 
 

@@ -169,7 +169,7 @@ class TestEngineBudget:
         outcome = paint_engine.complete_query(
             pe, paint_context, n=10, budget=budget
         )
-        assert outcome.truncated == TRUNCATED_TIMEOUT
+        assert outcome.status.truncation == TRUNCATED_TIMEOUT
         assert isinstance(outcome.completions, list)  # possibly empty
 
     def test_step_budget_yields_prefix_of_full_results(
@@ -183,7 +183,7 @@ class TestEngineBudget:
         outcome = paint_engine.complete_query(
             pe, paint_context, n=10, budget=budget
         )
-        assert outcome.truncated == TRUNCATED_BUDGET
+        assert outcome.status.truncation == TRUNCATED_BUDGET
         assert outcome.completions == full[: len(outcome.completions)]
         assert outcome.steps > 0
 
@@ -193,7 +193,7 @@ class TestEngineBudget:
         outcome = paint_engine.complete_query(
             pe, paint_context, n=10, budget=QueryBudget(max_steps=10_000_000)
         )
-        assert outcome.truncated is None
+        assert outcome.status.truncation is None
         assert outcome.completions == full
         assert outcome.degraded == set()
 
@@ -227,7 +227,7 @@ class TestEngineBudget:
         outcome = paint_engine.complete_query(
             pe, paint_context, n=5, budget=QueryBudget(max_steps=25)
         )
-        assert outcome.truncated == TRUNCATED_BUDGET
+        assert outcome.status.truncation == TRUNCATED_BUDGET
 
     def test_algorithm1_respects_budget(self, paint_context):
         algo = Algorithm1(paint_context, budget=QueryBudget(max_steps=20))
@@ -356,7 +356,7 @@ class TestSessionResilience:
         return session
 
     def test_record_carries_elapsed_ms(self, session):
-        record = session.query("?({img})")
+        record = session.complete("?({img})")
         assert record.elapsed_ms is not None
         assert record.elapsed_ms >= 0.0
         assert record.truncated is None
@@ -364,20 +364,20 @@ class TestSessionResilience:
 
     def test_step_budget_truncates_with_reason(self, session):
         session.step_budget = 5
-        record = session.query("img.?*m")
+        record = session.complete("img.?*m")
         assert record.truncated == TRUNCATED_BUDGET
 
     def test_precancelled_session_truncates(self, session):
         token = CancellationToken()
         token.cancel()
         session.cancellation = token
-        record = session.query("img.?*m")
+        record = session.complete("img.?*m")
         assert record.truncated == TRUNCATED_CANCELLED
         assert record.suggestions == []
 
     def test_degraded_features_recorded_on_record(self, session):
         with faults.inject("oracle", times=None):
-            record = session.query("?({img, size})")
+            record = session.complete("?({img, size})")
         assert record.degraded == {"abstract_types"}
         assert record.suggestions
 

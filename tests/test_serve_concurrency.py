@@ -102,10 +102,23 @@ class TestConcurrentDifferentials:
         assert after["queries"] - before.get("queries", 0) == delta
 
     def test_parallel_threads_of_async_clients(
-        self, handle, battery, serial_reference
+        self, handle, pool, battery, serial_reference, monkeypatch
     ):
         """Even event loops racing on separate OS threads serialise
-        cleanly at the tenant."""
+        cleanly at the tenant: every engine call runs on the tenant's
+        one executor thread (the engine and its streams hold no locks,
+        so this is what keeps them safe)."""
+        tenant = pool.get(UNIVERSE)
+        engine = tenant.workspace.engine
+        engine_threads = set()
+        for name in ("complete_query", "explain"):
+            method = getattr(engine, name)
+
+            def recorded(*args, _method=method, **kwargs):
+                engine_threads.add(threading.get_ident())
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, recorded)
         failures = []
 
         def storm():
@@ -118,6 +131,12 @@ class TestConcurrentDifferentials:
                     elif json.dumps(body["suggestions"], sort_keys=True) \
                             != serial_reference[query]:
                         failures.append((query, "diverged"))
+                # in-process, so the HTTP request log stays /v1/complete
+                explained = tenant.explain(protocol.CompletionRequestBody(
+                    {"workspace": UNIVERSE, "query": battery.queries[0],
+                     "locals": battery.locals}))
+                if not explained:
+                    failures.append(("explain", "empty"))
             except Exception as error:  # noqa: BLE001 - report, don't hang
                 failures.append(repr(error))
 
@@ -127,6 +146,8 @@ class TestConcurrentDifferentials:
         for thread in threads:
             thread.join()
         assert failures == []
+        tenant_thread = tenant.executor.submit(threading.get_ident).result()
+        assert engine_threads == {tenant_thread}
 
     def test_run_log_lines_atomic_and_schema_valid(self, handle, pool):
         tenant = pool.get(UNIVERSE)

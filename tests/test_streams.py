@@ -82,6 +82,20 @@ class TestMaterialized:
         m.get(0)
         assert pulled == [1]
 
+    def test_error_is_memoised_past_the_computed_prefix(self):
+        def gen():
+            yield (1, "a")
+            yield (2, "b")
+            raise RuntimeError("expansion failed")
+
+        m = Materialized(gen())
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="expansion failed"):
+                m.get(2)
+        assert m.get(0) == (1, "a")
+        assert m.get(1) == (2, "b")
+        assert m.broken
+
 
 class TestOrderedProduct:
     def test_zero_streams(self):
