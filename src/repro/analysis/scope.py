@@ -69,8 +69,11 @@ class Context:
         if this_type is not None:
             self.locals.setdefault("this", this_type)
         self.enclosing_type = enclosing_type or this_type
-        self._methods_by_name: Optional[Dict[str, List[Method]]] = None
-        self._global_roots: Optional[Tuple[Expr, ...]] = None
+        # sweeps over the whole universe, memoised per TypeSystem version
+        # so a Context kept across an edit sees the edited members
+        self._methods_by_name: Optional[
+            Tuple[int, Dict[str, List[Method]]]] = None
+        self._global_roots: Optional[Tuple[int, Tuple[Expr, ...]]] = None
 
     # ------------------------------------------------------------------
     # variables
@@ -89,12 +92,13 @@ class Context:
         """Globals usable as chain roots: static fields/properties and
         zero-argument static methods of every visible type (Sec. 4.2:
         "global (static field or zero-argument static method)")."""
-        if self._global_roots is None:
+        version = self.ts.version
+        if self._global_roots is None or self._global_roots[0] != version:
             roots: List[Expr] = []
             for typedef in self.ts.all_types():
                 roots.extend(global_roots_of(self.ts, typedef))
-            self._global_roots = tuple(roots)
-        return self._global_roots
+            self._global_roots = (version, tuple(roots))
+        return self._global_roots[1]
 
     def chain_roots(self) -> List[Expr]:
         """Everything a ``?`` hole may start from: locals then globals."""
@@ -106,12 +110,13 @@ class Context:
     def methods_named(self, name: str) -> List[Method]:
         """Every visible method with the given simple name (used to resolve
         bare-name ``KnownCall`` queries like ``Distance(point, ?)``)."""
-        if self._methods_by_name is None:
+        version = self.ts.version
+        if self._methods_by_name is None or self._methods_by_name[0] != version:
             table: Dict[str, List[Method]] = {}
             for method in self.ts.all_methods():
                 table.setdefault(method.name, []).append(method)
-            self._methods_by_name = table
-        return list(self._methods_by_name.get(name, ()))
+            self._methods_by_name = (version, table)
+        return list(self._methods_by_name[1].get(name, ()))
 
     def is_in_scope_static(self, method: Method) -> bool:
         """Static methods of the enclosing type are callable without

@@ -40,6 +40,9 @@ _NUMERIC_PRIMITIVES = frozenset(
     ["byte", "char", "short", "int", "long", "float", "double", "decimal"]
 )
 
+#: ``type_distance`` memo sentinel: ``None`` is a memoised answer
+_UNKNOWN = object()
+
 
 class TypeSystem:
     """A registry of :class:`TypeDef` plus subtyping and distance queries.
@@ -56,7 +59,8 @@ class TypeSystem:
     def __init__(self) -> None:
         self._types: Dict[str, TypeDef] = {}
         self._version = 0
-        self._td_cache: Dict[Tuple[str, str], Optional[int]] = {}
+        #: keyed on the ``TypeDef`` pair itself (types hash by identity)
+        self._td_cache: Dict[Tuple[TypeDef, TypeDef], Optional[int]] = {}
         self._supertype_cache: Dict[str, Tuple[TypeDef, ...]] = {}
         #: per-type supertype walks (BFS order, self first) and their
         #: sets; dropped with ``_supertype_cache``
@@ -399,9 +403,10 @@ class TypeSystem:
 
         Returns ``None`` when undefined (no implicit conversion).
         """
-        key = (source.full_name, target.full_name)
-        if key in self._td_cache:
-            return self._td_cache[key]
+        key = (source, target)
+        cached = self._td_cache.get(key, _UNKNOWN)
+        if cached is not _UNKNOWN:
+            return cached
 
         distance: Optional[int] = None
         if source is target:

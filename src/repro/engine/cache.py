@@ -3,11 +3,10 @@
 The paper's speed argument is per-query laziness: only the top *n*
 completions are ever computed.  This module adds the *cross*-query half
 of the story (the direction Prospector-style engines take — see
-PAPERS.md): queries against the same universe repeat the same work — the
-global chain-root pool is rescored from scratch, identical sub-streams
-are re-expanded, and the same (method, argument-types) placements are
-re-solved.  :class:`CompletionCache` memoises all three across queries
-on one engine:
+PAPERS.md): queries against the same universe repeat the same work —
+the global chain-root pool is rescored from scratch and identical
+sub-streams are re-expanded.  :class:`CompletionCache` memoises both
+across queries on one engine:
 
 * **scored global roots** — the static fields / zero-argument static
   calls every ``?`` hole starts from.  Their scores depend only on the
@@ -21,18 +20,13 @@ on one engine:
   asking for the same sub-stream replays the computed prefix from
   memory and only extends it past the known frontier.  Whole-query
   result streams are cached the same way under a distinct tag.
-* **placements** — the cheapest injective argument placement per
-  (method, argument-type tuple): position vector plus placement cost,
-  independent of the concrete argument expressions once the
-  abstract-type oracle is out of the picture.
 
 **Invalidation** is two-tier.  Every public lookup compares the
 :class:`~repro.codemodel.typesystem.TypeSystem` version counter against
 the version the cache was filled under.  On mismatch the cache asks the
 type system *which* types changed (``TypeSystem.mutations_since``):
 
-* **fine-grained** (the default; ``fine=False`` restores the old
-  behaviour): when every mutation in the window was member-level, the
+* **fine-grained**: when every mutation in the window was member-level, the
   cache drops only the entries whose recorded
   :class:`~repro.analysis.deps.QueryFootprint` an edit can reach —
   either the entry's **reads** closure (the universe's shared
@@ -49,11 +43,10 @@ type system *which* types changed (``TypeSystem.mutations_since``):
   entries), so a fine pass costs what it drops, not what the cache
   holds.  Root-pool groups of the mutated types are dropped and
   regenerated lazily.
-* **coarse** (the documented fallback): everything is dropped when the
-  mutation window contains a *structural* edit (registration,
-  ``base``/``interfaces`` re-pointing — type distances move globally),
-  when the mutation log has been truncated, or when fine invalidation
-  is disabled.
+* **coarse**: everything is dropped when the mutation window contains
+  a *structural* edit (registration, ``base``/``interfaces``
+  re-pointing — type distances move globally) or when the mutation log
+  has been truncated.
 
 The observable contract — a mutation landing between ``warm()`` and a
 batched ``complete_many`` never lets the batch see pre-mutation
@@ -89,7 +82,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -105,7 +97,7 @@ from ..analysis.scope import Context
 from ..codemodel.typesystem import TypeSystem
 from .streams import Materialized, Scored
 
-#: sentinel distinguishing "cached None" from "not cached"
+#: sentinel distinguishing a recorded ``None`` footprint from no record
 _MISSING = object()
 
 #: a per-entry dependency footprint (reads closure + accepting set), or
@@ -136,19 +128,17 @@ class CacheStats:
     stream_misses: int = 0
     roots_hits: int = 0
     roots_misses: int = 0
-    placement_hits: int = 0
-    placement_misses: int = 0
     #: whole-cache clears triggered by a TypeSystem version change whose
     #: mutation window could not be invalidated selectively
     invalidations_coarse: int = 0
     #: version changes handled by dropping only footprint-affected entries
     invalidations_fine: int = 0
-    #: entries (streams + placements + root-pool groups) kept alive across
+    #: entries (streams + root-pool groups) kept alive across
     #: fine-grained invalidations
     entries_preserved: int = 0
     #: entries dropped by fine-grained invalidations
     entries_dropped: int = 0
-    #: entries dropped by the LRU bound (streams + placements)
+    #: streams dropped by the LRU bound
     evictions: int = 0
 
     @property
@@ -158,11 +148,11 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
-        return self.stream_hits + self.roots_hits + self.placement_hits
+        return self.stream_hits + self.roots_hits
 
     @property
     def misses(self) -> int:
-        return self.stream_misses + self.roots_misses + self.placement_misses
+        return self.stream_misses + self.roots_misses
 
     @property
     def hit_rate(self) -> float:
@@ -176,8 +166,6 @@ class CacheStats:
             "stream_misses": self.stream_misses,
             "roots_hits": self.roots_hits,
             "roots_misses": self.roots_misses,
-            "placement_hits": self.placement_hits,
-            "placement_misses": self.placement_misses,
             "invalidations": self.invalidations,
             "invalidations_coarse": self.invalidations_coarse,
             "invalidations_fine": self.invalidations_fine,
@@ -211,7 +199,7 @@ class _RootPool:
 
 
 class _FootprintIndex:
-    """The recorded footprint of every entry of one LRU map, plus the
+    """The recorded footprint of every entry of the stream map, plus the
     inverted index fine-grained invalidation reads: read name → keys,
     accepting name → keys, and the keys of universe-wide (``None``)
     entries.  ``affected`` is exactly the set of keys whose footprint
@@ -277,29 +265,17 @@ class _FootprintIndex:
 class CompletionCache:
     """Version-synchronised cross-query memo for one engine.
 
-    ``max_streams`` / ``max_placements`` bound the two LRU maps; the
-    root pools are at most two entries (one per depth flag) and are
-    never evicted.  ``fine=False`` disables footprint tracking and
-    restores unconditional clear-on-mutation (the bench harness uses
-    this to measure the coarse baseline).
+    ``max_streams`` bounds the stream LRU map; the root pools are at
+    most two entries (one per depth flag) and are never evicted.
     """
 
-    def __init__(
-        self,
-        max_streams: int = 512,
-        max_placements: int = 8192,
-        fine: bool = True,
-    ) -> None:
+    def __init__(self, max_streams: int = 512) -> None:
         self.max_streams = max_streams
-        self.max_placements = max_placements
-        self.fine = fine
         self.stats = CacheStats()
         self._version: Optional[int] = None
         self._streams: "OrderedDict[Hashable, Materialized]" = OrderedDict()
         self._stream_fp = _FootprintIndex()
         self._roots: Dict[Hashable, _RootPool] = {}
-        self._placements: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._placement_fp = _FootprintIndex()
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -311,10 +287,10 @@ class CompletionCache:
         member-level, coarse otherwise."""
         if self._version == ts.version:
             return
-        populated = bool(self._streams or self._roots or self._placements)
+        populated = bool(self._streams or self._roots)
         mutated = (
             ts.mutations_since(self._version)
-            if self.fine and self._version is not None and populated
+            if self._version is not None and populated
             else None
         )
         if mutated is None:
@@ -323,8 +299,6 @@ class CompletionCache:
             self._streams.clear()
             self._stream_fp.clear()
             self._roots.clear()
-            self._placements.clear()
-            self._placement_fp.clear()
         else:
             self._invalidate_fine(ts, mutated)
         self._version = ts.version
@@ -345,16 +319,12 @@ class CompletionCache:
         params = method_param_types(
             ts, method_mutated if method_mutated is not None else mutated
         )
-        dropped = 0
-        preserved = 0
-        for entries, footprints in ((self._streams, self._stream_fp),
-                                    (self._placements, self._placement_fp)):
-            hit = footprints.affected(mutated, params)
-            for key in hit:
-                del entries[key]
-                footprints.forget(key)
-            dropped += len(hit)
-            preserved += len(entries)
+        hit = self._stream_fp.affected(mutated, params)
+        for key in hit:
+            del self._streams[key]
+            self._stream_fp.forget(key)
+        dropped = len(hit)
+        preserved = len(self._streams)
         for pool in self._roots.values():
             # a static root's score depends only on its declaring type
             # (one dot off a TypeLiteral), so the raw mutated set — not
@@ -375,12 +345,10 @@ class CompletionCache:
             self._streams.clear()
             self._stream_fp.clear()
             self._roots.clear()
-            self._placements.clear()
-            self._placement_fp.clear()
             self._version = None
 
     # ------------------------------------------------------------------
-    # the three memo kinds
+    # the two memo kinds
     # ------------------------------------------------------------------
     def stream(
         self,
@@ -412,8 +380,7 @@ class CompletionCache:
             shared = Materialized(make())
             self._streams[key] = shared
             self._stream_fp.record(
-                key,
-                footprint() if footprint is not None and self.fine else None,
+                key, footprint() if footprint is not None else None
             )
             while len(self._streams) > self.max_streams:
                 evicted, _ = self._streams.popitem(last=False)
@@ -497,58 +464,18 @@ class CompletionCache:
                 flat.extend(group)
         return flat
 
-    def placement(
-        self,
-        ts: TypeSystem,
-        key: Hashable,
-        compute: Callable[[], Any],
-        footprint: Optional[Callable[[], Footprint]] = None,
-    ) -> Any:
-        """The memoised placement result under ``key`` (which may
-        legitimately be ``None`` — "no valid placement" is cached too).
-        ``footprint`` works as in :meth:`stream`."""
-        with self._lock:
-            self._sync(ts)
-            value = self._placements.get(key, _MISSING)
-            if value is not _MISSING:
-                self._placements.move_to_end(key)
-                self.stats.placement_hits += 1
-                return value
-        # compute outside the lock: placement search can recurse into the
-        # ranker and is the one memo whose maker does real work eagerly
-        value = compute()
-        with self._lock:
-            if self._version == ts.version:
-                self.stats.placement_misses += 1
-                self._placements[key] = value
-                self._placement_fp.record(
-                    key,
-                    footprint()
-                    if footprint is not None and self.fine else None,
-                )
-                while len(self._placements) > self.max_placements:
-                    evicted, _ = self._placements.popitem(last=False)
-                    self._placement_fp.forget(evicted)
-                    self.stats.evictions += 1
-        return value
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def entry_footprints(self) -> List[Footprint]:
         """A snapshot of every live entry's dependency footprint —
-        streams and placements as recorded (``None`` = universe-wide),
-        root-pool groups as singleton reads of their declaring type.
-        Feeds the RA103 blast-radius lint and ``impact()`` cache
-        estimates."""
+        streams as recorded (``None`` = universe-wide), root-pool groups
+        as singleton reads of their declaring type.  Feeds the RA103
+        blast-radius lint and ``impact()`` cache estimates."""
         with self._lock:
             footprints: List[Footprint] = [
                 self._stream_fp.footprints[key] for key in self._streams
             ]
-            footprints.extend(
-                self._placement_fp.footprints[key]
-                for key in self._placements
-            )
             for pool in self._roots.values():
                 footprints.extend(
                     QueryFootprint(reads=frozenset((name,)))
@@ -573,5 +500,4 @@ class CompletionCache:
             data["root_pool_groups"] = float(sum(
                 len(pool.groups) for pool in self._roots.values()
             ))
-            data["placements"] = float(len(self._placements))
             return data

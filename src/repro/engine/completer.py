@@ -29,11 +29,11 @@ guarded so a failure degrades the query (recorded in
 
 from __future__ import annotations
 
-import copy
 import enum
 import time
 from dataclasses import astuple, dataclass, field, replace
-from itertools import islice
+from functools import cached_property
+from itertools import islice, product
 from typing import (
     Callable,
     Iterable,
@@ -89,7 +89,7 @@ from .streams import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Tunables of the completion engine.
 
@@ -99,6 +99,9 @@ class EngineConfig:
     candidate caps bound how many subexpression completions feed the
     cartesian stages.  When a cap truncates a search, lower-ranked
     completions are dropped — raise the caps to explore deeper.
+
+    The config is immutable: a change is a new value made with
+    :func:`dataclasses.replace`.
     """
 
     ranking: RankingConfig = field(default_factory=RankingConfig)
@@ -122,20 +125,23 @@ class EngineConfig:
     #: :mod:`repro.analysis.preflight`): ``complete_query`` then returns
     #: an empty outcome without expanding a single stream
     preflight: bool = True
-    #: memoise root pools, sub-streams, and argument placements across
-    #: queries (see :mod:`repro.engine.cache` and docs/PERFORMANCE.md);
-    #: budgeted and oracle-backed queries bypass the cache automatically
+    #: memoise root pools and sub-streams across queries (see
+    #: :mod:`repro.engine.cache` and docs/PERFORMANCE.md); budgeted and
+    #: oracle-backed queries bypass the cache automatically
     enable_cache: bool = True
-    #: invalidate the cache selectively on member-level TypeSystem
-    #: mutations using per-entry dependency footprints
-    #: (:mod:`repro.analysis.deps`); off = always clear coarsely on any
-    #: mutation, the pre-dependency-analysis behaviour
-    fine_invalidation: bool = True
     #: trace every query with a :class:`~repro.obs.trace.Tracer` (span
     #: timings + counters attached as ``QueryOutcome.trace``); off by
     #: default — disabled tracing costs nothing on the query path.
     #: Never part of the cache key: tracing cannot change results.
     trace: bool = False
+
+    @cached_property
+    def _signature(self) -> tuple:
+        """The tunables as a hashable cache-key component, computed once
+        per config value.  ``trace`` is normalised out: tracing observes
+        a query without changing its results, so traced and untraced
+        queries must share cache entries."""
+        return astuple(replace(self, trace=False))
 
 
 class Completion(NamedTuple):
@@ -308,7 +314,7 @@ class CompletionEngine:
                 ts, max_depth=self.config.max_chain_depth + 1
             )
         if cache is None and self.config.enable_cache:
-            cache = CompletionCache(fine=self.config.fine_invalidation)
+            cache = CompletionCache()
         self.index = index
         self.reachability = reachability
         self.cache = cache
@@ -321,10 +327,6 @@ class CompletionEngine:
         #: (with its span tree when traced) and ``complete_many``
         #: records batch events; None = off, zero cost
         self.run_log: Optional[RunLog] = None
-        # memoised _config_signature: astuple deep-copies every config
-        # leaf, far too slow to pay on every query's cache key
-        self._cfg_sig: Optional[tuple] = None
-        self._cfg_sig_snapshot: Optional[EngineConfig] = None
 
     # ------------------------------------------------------------------
     # dependency analysis plumbing
@@ -377,16 +379,6 @@ class CompletionEngine:
             accepting=frozenset(closed_accepting),
         )
 
-    def _footprint_names(self, names: Iterable[str]):
-        """Direct-reads footprint of explicit seed names, no closure —
-        placement memos score one pinned method against fixed argument
-        types (conversion distances only, structural hence coarse), so
-        they can neither gain candidates from new methods nor read
-        member lists beyond the named types."""
-        from ..analysis.deps import QueryFootprint
-
-        return QueryFootprint(reads=frozenset(names))
-
     def _root_group_makers(self, ranker: Ranker):
         """Builders for the grouped global-root pool: the full pool and
         the regenerate-named-groups patcher the cache calls after a
@@ -425,18 +417,9 @@ class CompletionEngine:
     # cross-query cache plumbing
     # ------------------------------------------------------------------
     def _config_signature(self) -> tuple:
-        """The engine tunables as a hashable cache-key component, so a
-        config mutated between queries never serves stale entries.
-        ``trace`` is normalised out: tracing observes a query without
-        changing its results, so traced and untraced queries must share
-        cache entries.  The tuple is memoised against a deep snapshot of
-        the config — value equality, so in-place mutation of nested
-        tunables still invalidates it."""
-        if self._cfg_sig is not None and self.config == self._cfg_sig_snapshot:
-            return self._cfg_sig
-        self._cfg_sig_snapshot = copy.deepcopy(self.config)
-        self._cfg_sig = astuple(replace(self.config, trace=False))
-        return self._cfg_sig
+        """The engine tunables as a hashable cache-key component: a
+        config replaced between queries never serves stale entries."""
+        return self.config._signature
 
     def _stream_cache(
         self,
@@ -450,18 +433,6 @@ class CompletionEngine:
         if abstypes is not None or budget is not None:
             return None
         if faults.active_plan() is not None:
-            return None
-        return self.cache
-
-    def _placement_cache(
-        self, abstypes: Optional[AbstractTypeOracle]
-    ) -> Optional[CompletionCache]:
-        """Placement memoisation also works for *budgeted* queries — the
-        placement search never ticks a budget — but still needs the
-        oracle and fault conditions."""
-        if self.cache is None or not self.config.enable_cache:
-            return None
-        if abstypes is not None or faults.active_plan() is not None:
             return None
         return self.cache
 
@@ -1010,17 +981,15 @@ class _Query:
         #: measured (and attributable) on every query
         self.meter = budget if budget is not None else QueryBudget()
         self.degraded = self.ranker.degraded
-        #: cross-query memo handles (None = this query must run cold).
+        #: the cross-query cache (None = this query must run cold).
         #: A traced query always runs on private streams: the tracer's
         #: counting wrappers must never end up inside a cached stream
-        #: that later untraced queries would replay.  Placement memos
-        #: carry no wrapped streams, so they stay on.
+        #: that later untraced queries would replay.
         self.cache = (
             None if tracer is not None
             else engine._stream_cache(abstypes, budget)
         )
-        self.placements = engine._placement_cache(abstypes)
-        if self.cache is not None or self.placements is not None:
+        if self.cache is not None:
             self._ctx_sig = context_signature(context)
             self._cfg_sig = engine._config_signature()
 
@@ -1293,105 +1262,45 @@ class _Query:
     ) -> Optional[Tuple[int, Call]]:
         """Cheapest injective placement of the argument set into the
         method's parameter positions; remaining positions become ``0``.
-
-        The search result — placement cost plus the position vector —
-        depends only on the argument *types* (the oracle, the one
-        expression-sensitive term, forces a cache bypass), so it is
-        memoised across queries and the :class:`Call` is rebuilt around
-        the actual argument expressions.
-        """
-        if self.placements is not None:
-            key = (
-                "place",
-                id(method),
-                tuple(
-                    t.full_name if t is not None else None for t in arg_types
-                ),
-                self.context.enclosing_type.full_name
-                if self.context.enclosing_type is not None
-                else None,
-                self._cfg_sig,
-            )
-            seed_names = {
-                p.type.full_name for p in method.all_params()
-            }
-            if method.declaring_type is not None:
-                seed_names.add(method.declaring_type.full_name)
-            if method.return_type is not None:
-                seed_names.add(method.return_type.full_name)
-            seed_names.update(
-                t.full_name for t in arg_types if t is not None
-            )
-            found = self.placements.placement(
-                self.ts,
-                key,
-                lambda: self._placement_search(method, args, arg_types),
-                footprint=lambda: self.engine._footprint_names(seed_names),
-            )
-        else:
-            found = self._placement_search(method, args, arg_types)
-        if found is None:
-            return None
-        extra, positions = found
-        full_args: List[Expr] = [Unfilled()] * len(method.all_params())
-        for position, arg in zip(positions, args):
-            full_args[position] = arg
-        return extra, Call(method, tuple(full_args))
-
-    def _placement_search(
-        self,
-        method: Method,
-        args: tuple,
-        arg_types: List[Optional[TypeDef]],
-    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        """Exhaustive search over injective placements; returns
-        ``(cost, positions)`` for the cheapest one, or ``None``."""
+        Exhaustive search over the type-correct placements; ``None``
+        when there is none."""
         params = method.all_params()
         arity = len(params)
+        type_distance = self.ts.type_distance
         compatible: List[List[int]] = []
         for arg_type in arg_types:
-            positions = []
-            for position, param in enumerate(params):
-                if arg_type is None or self.ts.implicitly_converts(
-                    arg_type, param.type
-                ):
-                    positions.append(position)
+            positions = [
+                position for position, param in enumerate(params)
+                if arg_type is None
+                or type_distance(arg_type, param.type) is not None
+            ]
             if not positions:
                 return None
             compatible.append(positions)
 
-        best: Optional[Tuple[int, Tuple[int, ...]]] = None
-        used: List[int] = []
-
-        def assign(arg_index: int) -> None:
-            nonlocal best
-            if arg_index == len(args):
-                full_args: List[Expr] = [Unfilled()] * arity
-                for position, arg in zip(used, args):
-                    full_args[position] = arg
-                placed = tuple(full_args)
-                types = [a.type for a in placed]
-                if (
-                    not method.is_static
-                    and types[0] is None
-                    and not self.config.allow_unfilled_receiver
-                ):
-                    return
-                extra = self.ranker.call_completion_cost(method, types, placed)
-                if extra is None:
-                    return
-                if best is None or extra < best[0]:
-                    best = (extra, tuple(used))
-                return
-            for position in compatible[arg_index]:
-                if position in used:
-                    continue
-                used.append(position)
-                assign(arg_index + 1)
-                used.pop()
-
-        assign(0)
-        return best
+        # product() walks the placements in the order of a depth-first
+        # search over ``compatible``, so ties keep the first placement
+        receiver_required = (
+            not method.is_static and not self.config.allow_unfilled_receiver
+        )
+        best: Optional[Tuple[int, Tuple[Expr, ...]]] = None
+        for positions in product(*compatible):
+            if len(set(positions)) < len(positions):
+                continue  # two arguments in one slot
+            full_args: List[Expr] = [Unfilled()] * arity
+            types: List[Optional[TypeDef]] = [None] * arity
+            for position, arg, arg_type in zip(positions, args, arg_types):
+                full_args[position] = arg
+                types[position] = arg_type
+            if receiver_required and types[0] is None:
+                continue
+            placed = tuple(full_args)
+            extra = self.ranker.call_completion_cost(method, types, placed)
+            if extra is not None and (best is None or extra < best[0]):
+                best = (extra, placed)
+        if best is None:
+            return None
+        return best[0], Call(method, best[1])
 
     def _return_matches(self, method: Method, target: Optional[TypeDef]) -> bool:
         if target is None:

@@ -256,9 +256,9 @@ def _mutate_workloads(
     Per scaling size: prime a warm engine with the scaling query, then
     ``repeats`` times add a field to one deterministically-chosen type
     and re-run the query warm.  Measured twice on identical fresh
-    universes — once under the default fine-grained invalidation, once
-    with ``EngineConfig(fine_invalidation=False)`` (the coarse
-    clear-on-mutation fallback) — so the speedup attributes the win to
+    universes — once under the cache's fine-grained invalidation, once
+    clearing the whole cache after every edit (the coarse
+    clear-on-mutation baseline) — so the speedup attributes the win to
     footprint-based invalidation alone.  Returns the gateable
     ``mutate/<size>`` workload entries (timings of the default = fine
     engine) and the per-size fine-vs-coarse summary for the document's
@@ -274,9 +274,7 @@ def _mutate_workloads(
         for mode, fine in (("fine", True), ("coarse", False)):
             project = synthesize_project(_scaling_spec(size))
             ts = project.ts
-            engine = CompletionEngine(
-                ts, config=EngineConfig(fine_invalidation=fine)
-            )
+            engine = CompletionEngine(ts)
             context = project.impls[0].context(ts)
             locals_list = list(context.locals.items())[:2]
             query = "?({{{}}})".format(
@@ -290,6 +288,8 @@ def _mutate_workloads(
                 target.add_field(
                     Field("bench_probe_{}".format(index), ts.string_type)
                 )
+                if not fine:
+                    engine.cache.clear()
                 run, run_steps = _time_queries(engine, context, [query], 1)
                 timings += run
                 steps += run_steps

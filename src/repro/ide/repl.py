@@ -257,9 +257,8 @@ def _cache(session: CompletionSession, action, write) -> None:
     if stats is None or not workspace.engine.config.enable_cache:
         write("cache off")
         return
-    write("cross-query cache: {:.0f} streams, {:.0f} root pools, "
-          "{:.0f} placements".format(
-              stats["streams"], stats["root_pools"], stats["placements"]))
+    write("cross-query cache: {:.0f} streams, {:.0f} root pools".format(
+        stats["streams"], stats["root_pools"]))
     write("  hits {} / misses {}  (hit rate {:.1%})".format(
         int(stats["hits"]), int(stats["misses"]), stats["hit_rate"]))
     write("  invalidations {} ({} coarse, {} fine)  evictions {}".format(

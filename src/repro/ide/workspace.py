@@ -8,6 +8,7 @@ indexes, and (for corpus projects) the abstract-type analysis.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 from ..analysis.abstract_types import AbstractTypeAnalysis
@@ -149,12 +150,12 @@ class Workspace:
 
     @cache_enabled.setter
     def cache_enabled(self, enabled: bool) -> None:
-        self.engine.config.enable_cache = enabled
+        self.engine.config = dataclasses.replace(
+            self.engine.config, enable_cache=enabled)
         if enabled and self.engine.cache is None:
             from ..engine.cache import CompletionCache
 
-            self.engine.cache = CompletionCache(
-                fine=self.engine.config.fine_invalidation)
+            self.engine.cache = CompletionCache()
         if not enabled and self.engine.cache is not None:
             self.engine.cache.clear()
 

@@ -33,9 +33,19 @@ def _requests(workspace, context, sources, n=10):
     ]
 
 
+def _check_against_cold(ts, context, sources, outcomes, n=10, cold_context=None):
+    """Each warm outcome must equal a cache-less engine's answer, asked
+    in ``cold_context`` (default: the same context)."""
+    cold_engine = CompletionEngine(ts, EngineConfig(enable_cache=False))
+    cold_context = cold_context or context
+    for source, outcome in zip(sources, outcomes):
+        check_mutation_outcomes(outcome, cold_engine.complete_query(
+            parse(source, cold_context), cold_context, n=n), n=n)
+
+
 def _cached_entries(workspace):
     stats = workspace.cache_stats()
-    return stats["streams"] + stats["root_pools"] + stats["placements"]
+    return stats["streams"] + stats["root_pools"]
 
 
 @pytest.fixture
@@ -48,6 +58,21 @@ def warm_paint():
 
 
 QUERIES = ["img.?f", "img.?m", "?({img})"]
+
+
+def test_cache_stats_keys_are_pinned(warm_paint):
+    """``Workspace.cache_stats()`` is the ``cache`` object of
+    ``/v1/stats`` and ``repro stats --json``: its key set is a wire
+    shape."""
+    workspace, context, _document = warm_paint
+    workspace.complete_many(_requests(workspace, context, QUERIES))
+    assert set(workspace.cache_stats()) == {
+        "stream_hits", "stream_misses", "roots_hits", "roots_misses",
+        "invalidations", "invalidations_coarse", "invalidations_fine",
+        "entries_preserved", "entries_dropped", "evictions",
+        "hits", "misses", "hit_rate",
+        "streams", "root_pools", "root_pool_groups",
+    }
 
 
 class TestMutationBetweenWarmAndBatch:
@@ -70,8 +95,6 @@ class TestMutationBetweenWarmAndBatch:
         assert "zzAddedBetween" in texts
 
     def test_batch_after_mutation_equals_cold_engine(self, warm_paint):
-        from repro.engine.completer import CompletionEngine
-
         workspace, context, document = warm_paint
         workspace.complete_many(_requests(workspace, context, QUERIES))
         workspace.engine.warm()
@@ -82,12 +105,25 @@ class TestMutationBetweenWarmAndBatch:
 
         warm_outcomes = workspace.complete_many(
             _requests(workspace, context, QUERIES))
+        _check_against_cold(workspace.ts, context, QUERIES, warm_outcomes)
+
+    def test_kept_context_sees_a_new_static_root(self, warm_paint):
+        workspace, context, _document = warm_paint
         cold_engine = CompletionEngine(
             workspace.ts, EngineConfig(enable_cache=False))
-        for source, warm_outcome in zip(QUERIES, warm_outcomes):
-            cold_outcome = cold_engine.complete_query(
-                parse(source, context), context, n=10)
-            check_mutation_outcomes(warm_outcome, cold_outcome, n=10)
+        # prime the cached root pool and the kept context's own roots
+        workspace.complete_many(_requests(workspace, context, ["?"], n=50))
+        cold_engine.complete_query(parse("?", context), context, n=50)
+        workspace.ts.get("PaintDotNet.HistoryStack").add_field(Field(
+            "zzStaticRoot", workspace.ts.string_type, is_static=True))
+
+        warm = workspace.complete_many(
+            _requests(workspace, context, ["?"], n=50))[0]
+        assert any("zzStaticRoot" in str(c.expr) for c in warm.completions)
+        kept = cold_engine.complete_query(parse("?", context), context, n=50)
+        fresh = workspace.context(locals=dict(context.locals))
+        _check_against_cold(workspace.ts, context, ["?", "?"], [warm, kept],
+                            n=50, cold_context=fresh)
 
     def test_mutation_clears_cache_and_counts_invalidation(self, warm_paint):
         workspace, context, document = warm_paint
@@ -160,18 +196,6 @@ class TestFineInvalidation:
         assert stats["roots_hits"] > before["roots_hits"]
         assert stats["entries_preserved"] >= before["root_pool_groups"] - 1
 
-    def test_fine_disabled_config_restores_coarse_clearing(self):
-        workspace = Workspace.builtin(
-            "paint", config=EngineConfig(fine_invalidation=False))
-        document = workspace.ts.get("PaintDotNet.Document")
-        context = workspace.context(locals={"img": document})
-        workspace.complete_many(_requests(workspace, context, QUERIES))
-        document.add_field(Field("zzCoarse", workspace.ts.string_type))
-        workspace.complete_many(_requests(workspace, context, ["img.?f"]))
-        stats = workspace.cache_stats()
-        assert stats["invalidations_coarse"] == 1
-        assert stats["invalidations_fine"] == 0
-
 
 class TestScalingPreservation:
     def test_single_type_edit_preserves_80_percent_on_scale90(self):
@@ -238,11 +262,7 @@ class TestWarmFineMatchesColdEngine:
 
         warm_outcomes = workspace.complete_many(
             _requests(workspace, context, self.SOURCES))
-        cold_engine = CompletionEngine(ts, EngineConfig(enable_cache=False))
-        for source, warm_outcome in zip(self.SOURCES, warm_outcomes):
-            cold_outcome = cold_engine.complete_query(
-                parse(source, context), context, n=10)
-            check_mutation_outcomes(warm_outcome, cold_outcome, n=10)
+        _check_against_cold(ts, context, self.SOURCES, warm_outcomes)
 
 
 class TestSetMemberOrder:

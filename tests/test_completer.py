@@ -229,6 +229,17 @@ class TestEngineConfig:
         top_no_t = [c.expr.method.name for c in no_t.complete(pe, paint_context, n=5)]
         assert top_default != top_no_t
 
+    def test_config_is_frozen_and_its_signature_shared(self, paint):
+        import dataclasses
+
+        config = EngineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.enable_cache = False
+        first = CompletionEngine(paint.ts, config)._config_signature()
+        assert CompletionEngine(paint.ts, config)._config_signature() is first
+        traced = dataclasses.replace(config, trace=True)
+        assert CompletionEngine(paint.ts, traced)._config_signature() == first
+
 
 class TestInjectedState:
     def test_injected_state_is_kept_even_when_empty(self):

@@ -232,28 +232,23 @@ def _count_builds(monkeypatch):
 SOURCES = ["a.?f", "a.?*m", "b.?m", "?({a, b})", "a.?*f", "?"]
 
 
-def _maps(cache):
-    return ((cache._streams, cache._stream_fp),
-            (cache._placements, cache._placement_fp))
-
-
 def assert_postings_consistent(cache):
-    """Every map's inverted index is exactly the one its recorded
+    """The stream map's inverted index is exactly the one its recorded
     footprints imply."""
-    for entries, index in _maps(cache):
-        assert set(index.footprints) == set(entries)
-        reads, accepting, universal = {}, {}, set()
-        for key, footprint in index.footprints.items():
-            if footprint is None:
-                universal.add(key)
-                continue
-            for name in footprint.reads:
-                reads.setdefault(name, set()).add(key)
-            for name in footprint.accepting:
-                accepting.setdefault(name, set()).add(key)
-        assert index.reads == reads
-        assert index.accepting == accepting
-        assert index.universal == universal
+    index = cache._stream_fp
+    assert set(index.footprints) == set(cache._streams)
+    reads, accepting, universal = {}, {}, set()
+    for key, footprint in index.footprints.items():
+        if footprint is None:
+            universal.add(key)
+            continue
+        for name in footprint.reads:
+            reads.setdefault(name, set()).add(key)
+        for name in footprint.accepting:
+            accepting.setdefault(name, set()).add(key)
+    assert index.reads == reads
+    assert index.accepting == accepting
+    assert index.universal == universal
 
 
 def _linear_drop(entries, index, mutated, params):
@@ -287,14 +282,13 @@ class TestIndexedInvalidation:
             mutated = ts.mutations_since(cache._version)
             method_mutated = ts.method_mutations_since(cache._version)
             params = method_param_types(ts, method_mutated)
-            expected = []
-            for entries, index in _maps(cache):
-                linear = _linear_drop(entries, index, mutated, params)
-                assert index.affected(mutated, params) == linear
-                expected.append(set(entries) - linear)
+            linear = _linear_drop(cache._streams, cache._stream_fp,
+                                  mutated, params)
+            assert cache._stream_fp.affected(mutated, params) == linear
+            expected = set(cache._streams) - linear
             with cache._lock:
                 cache._sync(ts)
-            assert [set(entries) for entries, _ in _maps(cache)] == expected
+            assert set(cache._streams) == expected
             assert_postings_consistent(cache)
             run_queries()
             assert_postings_consistent(cache)
@@ -307,20 +301,18 @@ class TestPostingsUpkeep:
 
     def test_insert_evict_and_clear(self):
         ts = _pristine("paint")
-        cache = CompletionCache(max_streams=2, max_placements=2)
+        cache = CompletionCache(max_streams=2)
         cache.stream(ts, "s1", lambda: iter(()), lambda: self.FP_A)
         cache.stream(ts, "s2", lambda: iter(()), lambda: None)
-        cache.placement(ts, "p1", lambda: 1, lambda: self.FP_C)
         assert_postings_consistent(cache)
         cache.stream(ts, "s3", lambda: iter(()), lambda: self.FP_C)
-        cache.placement(ts, "p2", lambda: 2, lambda: self.FP_A)
-        cache.placement(ts, "p3", lambda: 3, lambda: None)
+        cache.stream(ts, "s4", lambda: iter(()), lambda: self.FP_A)
         assert cache.stats.evictions == 2
         assert "s1" not in cache._stream_fp.footprints
         assert_postings_consistent(cache)
         cache.clear()
         assert_postings_consistent(cache)
-        assert not cache._stream_fp.reads and not cache._placement_fp.reads
+        assert not cache._stream_fp.reads
 
     def test_reinserted_broken_stream_replaces_its_postings(self):
         ts = _pristine("paint")
@@ -338,24 +330,11 @@ class TestPostingsUpkeep:
         assert_postings_consistent(cache)
         assert "A" not in cache._stream_fp.reads
 
-    def test_placement_inserted_twice_keeps_one_posting(self):
-        ts = _pristine("paint")
-        cache = CompletionCache()
-
-        def racing():
-            # another caller fills the same key while this one computes
-            cache.placement(ts, "p", lambda: 1, lambda: self.FP_A)
-            return 2
-
-        cache.placement(ts, "p", racing, lambda: self.FP_C)
-        assert cache._placement_fp.footprints == {"p": self.FP_C}
-        assert_postings_consistent(cache)
-
     def test_coarse_clear_empties_the_index(self):
         ts = _pristine("paint")
         cache = CompletionCache()
         cache.stream(ts, "s", lambda: iter(()), lambda: self.FP_A)
-        cache.placement(ts, "p", lambda: 1, lambda: None)
+        cache.stream(ts, "u", lambda: iter(()), lambda: None)
         ts.register(TypeDef("Fresh", "Zz"))  # structural: coarse path
         cache.stream(ts, "t", lambda: iter(()), lambda: self.FP_C)
         assert cache.stats.invalidations_coarse == 1

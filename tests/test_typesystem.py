@@ -482,9 +482,19 @@ def _apply_walk_edit(ts, edit, serial):
     return True
 
 
+def _distance_pairs(ts, sources):
+    """Sampled ``type_distance`` inputs: each source against its own
+    supertypes (defined distances) and against every seventh type."""
+    every_seventh = _by_name(ts.all_types())[::7]
+    return [(source, target) for source in sources
+            for target in ts.supertype_order(source) + tuple(every_seventh)]
+
+
 class TestSupertypeWalkMemo:
     """``supertype_order`` / ``supertype_closure`` are memoised per type
-    until a structural edit; member edits keep the very same objects."""
+    until a structural edit; member edits keep the very same objects.
+    ``type_distance``'s memo, keyed on the type pair, must answer like a
+    fresh universe across the same edits."""
 
     @pytest.mark.parametrize("universe", WALK_UNIVERSES)
     @settings(max_examples=10, deadline=None)
@@ -496,6 +506,8 @@ class TestSupertypeWalkMemo:
         for source in sources:
             for allow_methods in (False, True):
                 index.reachable(source, allow_methods)
+        for source, target in _distance_pairs(ts, sources):
+            ts.type_distance(source, target)
         for serial, edit in enumerate(edits):
             before = {
                 t.full_name: (ts.supertype_order(t), ts.supertype_closure(t))
@@ -525,3 +537,7 @@ class TestSupertypeWalkMemo:
                         fresh_index.reachable(fresh.get(source.full_name),
                                               allow_methods)
                     assert index._walk_fp[key] == fresh_index._walk_fp[key]
+            for source, target in _distance_pairs(ts, sources):
+                assert ts.type_distance(source, target) == \
+                    fresh.type_distance(fresh.get(source.full_name),
+                                        fresh.get(target.full_name))
