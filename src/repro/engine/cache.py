@@ -358,47 +358,21 @@ class CompletionCache:
         footprint: Optional[Callable[[], Footprint]] = None,
     ) -> Tuple[Materialized, bool]:
         """The shared re-playable stream under ``key``, creating it from
-        ``make()`` on a miss.  Returns ``(stream, was_hit)``.
-
-        ``footprint`` is evaluated once, on the miss, to record the
-        entry's dependency footprint; omitted (or returning ``None``)
-        the entry is treated as universe-wide and dropped on every
-        fine-grained invalidation.
-
-        A stream whose underlying generator raised is replaced rather
-        than replayed (its error would otherwise re-raise forever, even
-        after the cause — say, a transient oracle failure — is gone).
-        """
-        with self._lock:
-            self._sync(ts)
-            shared = self._streams.get(key)
-            if shared is not None and not shared.broken:
-                self._streams.move_to_end(key)
-                self.stats.stream_hits += 1
-                return shared, True
-            self.stats.stream_misses += 1
-            shared = Materialized(make())
-            self._streams[key] = shared
-            self._stream_fp.record(
-                key, footprint() if footprint is not None else None
-            )
-            while len(self._streams) > self.max_streams:
-                evicted, _ = self._streams.popitem(last=False)
-                self._stream_fp.forget(evicted)
-                self.stats.evictions += 1
-            return shared, False
+        ``make()`` on a miss: one :meth:`peek`, then :meth:`insert` on a
+        miss.  Returns ``(stream, was_hit)``."""
+        shared = self.peek(ts, key)
+        if shared is not None:
+            return shared, True
+        return self.insert(ts, key, make(), footprint), False
 
     def peek(
         self, ts: TypeSystem, key: Hashable
     ) -> Optional[Materialized]:
         """The shared stream under ``key`` if present and healthy, else
-        ``None`` — a read-only probe that never creates an entry.
-
-        Traced queries use this: they may *replay* a stream some earlier
-        untraced query populated (marked as a cache hit in the trace),
-        but on a miss they run privately and must not publish streams
-        containing tracer wrappers.
-        """
+        ``None`` (a counted miss; nothing is created).  A stream whose
+        generator raised is a miss, replaced by the next :meth:`insert`:
+        its error would otherwise re-raise forever, even after the cause
+        — say, a transient oracle failure — is gone."""
         with self._lock:
             self._sync(ts)
             shared = self._streams.get(key)
@@ -408,6 +382,31 @@ class CompletionCache:
                 return shared
             self.stats.stream_misses += 1
             return None
+
+    def insert(
+        self,
+        ts: TypeSystem,
+        key: Hashable,
+        stream: Iterable[Scored],
+        footprint: Optional[Callable[[], Footprint]] = None,
+    ) -> Materialized:
+        """Publish ``stream`` under ``key`` after a :meth:`peek` missed,
+        evicting least recently used entries past ``max_streams``.
+        ``footprint()`` is the entry's dependency footprint; omitted (or
+        ``None``) the entry is universe-wide, dropped on every
+        fine-grained invalidation."""
+        with self._lock:
+            self._sync(ts)
+            shared = Materialized(stream)
+            self._streams[key] = shared
+            self._stream_fp.record(
+                key, footprint() if footprint is not None else None
+            )
+            while len(self._streams) > self.max_streams:
+                evicted, _ = self._streams.popitem(last=False)
+                self._stream_fp.forget(evicted)
+                self.stats.evictions += 1
+            return shared
 
     def global_roots(
         self,

@@ -64,7 +64,6 @@ from ..lang.ast import (
     Unfilled,
     Var,
     is_complete,
-    iter_subtree,
 )
 from ..lang.partial import (
     Hole,
@@ -123,7 +122,9 @@ class EngineConfig:
     generate_constructors: bool = False
     #: prove provably-empty queries empty before searching (see
     #: :mod:`repro.analysis.preflight`): ``complete_query`` then returns
-    #: an empty outcome without expanding a single stream
+    #: an empty outcome without expanding a single stream.  A cache
+    #: replay with at least one completion skips the check: that answer
+    #: already proves the query satisfiable
     preflight: bool = True
     #: memoise root pools and sub-streams across queries (see
     #: :mod:`repro.engine.cache` and docs/PERFORMANCE.md); budgeted and
@@ -452,7 +453,7 @@ class CompletionEngine:
             self._config_signature(),
         )
 
-    def _completion_stream(
+    def _probe(
         self,
         pe: Expr,
         context: Context,
@@ -461,11 +462,40 @@ class CompletionEngine:
         keyword: Optional[str],
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer] = None,
+    ) -> tuple:
+        """The query's one counted whole-query cache lookup:
+        ``(cache, key, replay)``.  ``cache`` and ``key`` are ``None``
+        when the query may not share streams; ``replay`` is the cached
+        stream on a hit, else ``None``.  A traced probe records a
+        ``cache`` span (``hit`` 0/1)."""
+        cache = self._stream_cache(abstypes, budget)
+        if cache is None:
+            return None, None, None
+        key = self._query_key(pe, context, expected_type, keyword)
+        if tracer is None:
+            return cache, key, cache.peek(self.ts, key)
+        with tracer.span("cache") as span:
+            replay = cache.peek(self.ts, key)
+            span.set("hit", 1 if replay is not None else 0)
+        return cache, key, replay
+
+    def _completion_stream(
+        self,
+        pe: Expr,
+        context: Context,
+        abstypes: Optional[AbstractTypeOracle],
+        expected_type: Optional[TypeDef],
+        keyword: Optional[str],
+        budget: Optional[QueryBudget],
+        tracer: Optional[Tracer],
+        probe: tuple,
     ) -> Tuple[Iterator[Completion], Optional["_Query"], bool]:
-        """The deduplicated result stream, via the whole-query cache when
-        the query is shareable.  Returns ``(iterator, query, cached)``;
+        """The deduplicated result stream of a query already looked up
+        with :meth:`_probe`.  Returns ``(iterator, query, cached)``;
         ``query`` is ``None`` on a warm replay (no per-query state was
-        built).
+        built).  Nothing here proves satisfiability: callers that want
+        pre-flight run it between the probe and this call, and only
+        when the probe did not replay a non-empty stream.
 
         A *traced* query still replays from the whole-query cache (the
         replay is marked with a ``cache`` span and the outcome's
@@ -474,34 +504,19 @@ class CompletionEngine:
         counting wrappers must never be baked into streams that later,
         untraced queries would replay through.
         """
-        cache = self._stream_cache(abstypes, budget)
-        if cache is None:
-            query = _Query(self, context, abstypes, expected_type, keyword,
-                           budget, tracer)
-            return query.result_stream(pe), query, False
-        key = self._query_key(pe, context, expected_type, keyword)
-        if tracer is not None:
-            with tracer.span("cache") as span:
-                shared = cache.peek(self.ts, key)
-                span.set("hit", 1 if shared is not None else 0)
-            if shared is not None:
-                return iter(shared), None, True
-            query = _Query(self, context, abstypes, expected_type, keyword,
-                           None, tracer)
-            return query.result_stream(pe), query, False
-        made: List[_Query] = []
-
-        def make() -> Iterator[Completion]:
-            query = _Query(self, context, abstypes, expected_type, keyword,
-                           None)
-            made.append(query)
-            return query.result_stream(pe)
-
-        shared, hit = cache.stream(
-            self.ts, key, make,
+        cache, key, replay = probe
+        if replay is not None:
+            return iter(replay), None, True
+        query = _Query(self, context, abstypes, expected_type, keyword,
+                       budget, tracer)
+        stream = query.result_stream(pe)
+        if cache is None or tracer is not None:
+            return stream, query, False
+        shared = cache.insert(
+            self.ts, key, stream,
             footprint=lambda: self._footprint(pe, expected_type),
         )
-        return iter(shared), (made[0] if made else None), hit
+        return iter(shared), query, False
 
     # ------------------------------------------------------------------
     # public API
@@ -563,7 +578,8 @@ class CompletionEngine:
         the caller reads ``budget.tripped`` for the reason.
         """
         stream, _query, _cached = self._completion_stream(
-            pe, context, abstypes, expected_type, keyword, budget
+            pe, context, abstypes, expected_type, keyword, budget, None,
+            self._probe(pe, context, abstypes, expected_type, keyword, budget),
         )
         return stream
 
@@ -645,7 +661,17 @@ class CompletionEngine:
             root_span = tracer.start("query")
             tracer._stack.append(root_span)
         try:
-            if self.config.preflight:
+            probe = self._probe(pe, context, abstypes, expected_type,
+                                keyword, budget, tracer)
+            replay = probe[2]
+            if replay is not None and replay.get(0) is not None:
+                # a non-empty replay equals the cold answer, which already
+                # proves the query satisfiable: pre-flight has nothing
+                # left to prove
+                if tracer is not None and self.config.preflight:
+                    with tracer.span("preflight") as span:
+                        span.set("cached", 1)
+            elif self.config.preflight:
                 if tracer is not None:
                     with tracer.span("preflight") as span:
                         report = self._try_preflight(
@@ -668,7 +694,8 @@ class CompletionEngine:
                         preflight_report=report,
                     )
             stream, query, cached = self._completion_stream(
-                pe, context, abstypes, expected_type, keyword, budget, tracer
+                pe, context, abstypes, expected_type, keyword, budget, tracer,
+                probe,
             )
             if tracer is not None:
                 with tracer.span("collect") as span:
@@ -906,10 +933,9 @@ def _expr_depth(expr: Expr) -> int:
     """Lookup depth of a completion — the number of member lookups
     (field accesses and calls) in the expression tree, the quantity the
     ``completion_depth`` histogram tracks."""
-    depth = 0
-    for node in iter_subtree(expr):
-        if isinstance(node, (FieldAccess, Call)):
-            depth += 1
+    depth = 1 if isinstance(expr, (FieldAccess, Call)) else 0
+    for child in expr.children():
+        depth += _expr_depth(child)
     return depth
 
 

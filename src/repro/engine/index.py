@@ -27,13 +27,16 @@ from .budget import QueryBudget
 
 
 class MethodIndex:
-    """type -> methods with a parameter of exactly that type (Fig. 8)."""
+    """type -> methods with a parameter of exactly that type (Fig. 8).
+
+    Every bucket lists its methods in whole-universe declaration order
+    (declaring types by registration rank, then each type's method
+    order), so ranking ties that fall back to bucket order cannot
+    diverge between a patched, a restored and a cold index.
+    """
 
     def __init__(self, ts: TypeSystem) -> None:
         self.ts = ts
-        self._by_exact_type: Dict[str, List[Method]] = {}
-        self._by_declaring: Dict[str, List[Method]] = {}
-        self._all_methods: List[Method] = []
         #: refreshes served by patching only the mutated types' regions
         self.patches = 0
         #: refreshes that rebuilt the whole index
@@ -48,19 +51,17 @@ class MethodIndex:
         (:mod:`repro.pack`) instead of scanning every method signature.
 
         ``by_exact_type`` must hold each bucket in whole-universe
-        declaration order — the order :meth:`_build` produces — so
-        ranking ties that fall back to bucket order cannot diverge
-        between a restored and a cold index.  The declaring-type map and
-        the flat method list are rebuilt with one cheap pass (they are
-        pure declaration order, no signature walk).
+        declaration order — the order :meth:`_build` produces.  The
+        declaring-type map and the flat method list are rebuilt with one
+        cheap pass (they are pure declaration order, no signature walk).
         """
         self = cls.__new__(cls)
         self.ts = ts
         self._by_exact_type = by_exact_type
         self._by_declaring = {}
-        self._all_methods = []
-        for method in ts.all_methods():
-            self._all_methods.append(method)
+        self._all_methods = list(ts.all_methods())
+        self._rank = None
+        for method in self._all_methods:
             if method.declaring_type is not None:
                 self._by_declaring.setdefault(
                     method.declaring_type.full_name, []).append(method)
@@ -71,20 +72,19 @@ class MethodIndex:
 
     def _build(self) -> None:
         self.built_version = self.ts.version
-        for method in self.ts.all_methods():
-            self._all_methods.append(method)
+        #: registration rank per type, built by the first patch
+        self._rank: Optional[Dict[TypeDef, int]] = None
+        self._by_exact_type: Dict[str, List[Method]] = {}
+        self._by_declaring: Dict[str, List[Method]] = {}
+        self._all_methods = list(self.ts.all_methods())
+        for method in self._all_methods:
             self._index_method(method)
 
     def _index_method(self, method: Method) -> None:
         if method.declaring_type is not None:
             self._by_declaring.setdefault(
                 method.declaring_type.full_name, []).append(method)
-        seen_types = set()
-        for param in method.all_params():
-            key = param.type.full_name
-            if key in seen_types:
-                continue
-            seen_types.add(key)
+        for key in _param_keys(method):
             self._by_exact_type.setdefault(key, []).append(method)
 
     def refresh(self) -> None:
@@ -95,17 +95,14 @@ class MethodIndex:
         depends only on method lists, so it reconciles from
         ``TypeSystem.method_mutations_since``: a window of field- and
         property-only edits just restamps the version, a fully
-        member-level window rewrites only the mutated types' regions,
-        and anything else (structural edit, truncated log) rebuilds the
+        member-level window rewrites only the mutated types' runs, and
+        anything else (structural edit, truncated log) rebuilds the
         whole index.
         """
         if self.built_version == self.ts.version:
             return
         mutated = self.ts.method_mutations_since(self.built_version)
         if mutated is None:
-            self._by_exact_type = {}
-            self._by_declaring = {}
-            self._all_methods = []
             self.rebuilds += 1
             self._build()
         else:
@@ -115,46 +112,37 @@ class MethodIndex:
             self.built_version = self.ts.version
 
     def _patch(self, mutated_names) -> None:
-        """Rewrite only the regions touched by the named types: drop
-        their previously-indexed methods from the parameter buckets,
-        re-add their current declarations, and restore each touched
-        bucket to whole-universe declaration order — the order a full
-        rebuild would produce, so ranking ties that fall back to bucket
-        order cannot diverge between a patched and a cold index."""
-        touched: set = set()
+        """Replace, in place, each named type's run of methods in the
+        flat list and in every bucket its old or new declarations
+        touch.  A member edit never re-registers a type, so its run sits
+        at the same rank as before and every other method keeps its
+        position — the lists stay in whole-universe declaration order
+        without a re-sort."""
+        if self._rank is None:
+            self._rank = {t: r for r, t in enumerate(self.ts.all_types())}
+        rank = self._rank
         for name in mutated_names:
-            old = self._by_declaring.pop(name, [])
-            if old:
-                old_ids = {id(method) for method in old}
-                bucket_keys = set()
-                for method in old:
-                    for param in method.all_params():
-                        bucket_keys.add(param.type.full_name)
-                touched |= bucket_keys
-                for key in bucket_keys:
-                    bucket = self._by_exact_type.get(key)
-                    if bucket is None:
-                        continue
-                    kept = [m for m in bucket if id(m) not in old_ids]
-                    if kept:
-                        self._by_exact_type[key] = kept
-                    else:
-                        del self._by_exact_type[key]
-            typedef = self.ts.try_get(name)
-            if typedef is not None:
-                for method in typedef.methods:
-                    self._index_method(method)
-                    for param in method.all_params():
-                        touched.add(param.type.full_name)
-        self._all_methods = list(self.ts.all_methods())
-        position = {
-            id(method): index
-            for index, method in enumerate(self._all_methods)
-        }
-        for key in touched:
-            bucket = self._by_exact_type.get(key)
-            if bucket is not None and len(bucket) > 1:
-                bucket.sort(key=lambda m: position.get(id(m), -1))
+            typedef = self.ts.get(name)
+            methods = list(typedef.methods)
+            runs: Dict[str, List[Method]] = {}
+            for method in self._by_declaring.pop(name, ()):
+                for key in _param_keys(method):
+                    runs[key] = []
+            for method in methods:
+                for key in _param_keys(method):
+                    runs.setdefault(key, []).append(method)
+            if methods:
+                self._by_declaring[name] = methods
+            here = rank[typedef]
+            flat = self._all_methods
+            start = _first_at_rank(flat, rank, here)
+            flat[start:_first_at_rank(flat, rank, here + 1)] = methods
+            for key, run in runs.items():
+                bucket = self._by_exact_type.setdefault(key, [])
+                start = _first_at_rank(bucket, rank, here)
+                bucket[start:_first_at_rank(bucket, rank, here + 1)] = run
+                if not bucket:
+                    del self._by_exact_type[key]
 
     def methods_with_exact_param(self, typedef: TypeDef) -> List[Method]:
         """Methods having at least one parameter of exactly this type."""
@@ -233,6 +221,30 @@ class MethodIndex:
             "patches": float(self.patches),
             "rebuilds": float(self.rebuilds),
         }
+
+
+def _param_keys(method: Method) -> List[str]:
+    """The buckets a method belongs to: its distinct parameter types
+    (receiver included), in parameter order."""
+    keys: List[str] = []
+    for param in method.all_params():
+        key = param.type.full_name
+        if key not in keys:
+            keys.append(key)
+    return keys
+
+
+def _first_at_rank(methods: List[Method], rank, wanted: int) -> int:
+    """Bisect a declaration-ordered list for its first method whose
+    declaring type ranks at or after ``wanted``."""
+    low, high = 0, len(methods)
+    while low < high:
+        middle = (low + high) // 2
+        if rank[methods[middle].declaring_type] < wanted:
+            low = middle + 1
+        else:
+            high = middle
+    return low
 
 
 class ReachabilityIndex:

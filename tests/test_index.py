@@ -182,6 +182,55 @@ class TestIncrementalRefresh:
         assert [id(m) for m in warm.methods_accepting(dog)] == [
             id(m) for m in cold.methods_accepting(dog)]
 
+    def test_seeded_edit_stream_patches_to_cold_equivalence(self):
+        import random
+
+        from repro.codemodel.members import Field, Method, Parameter
+        from repro.corpus.projects import build_wix_project
+
+        def shape(index):
+            return (
+                {key: [id(m) for m in bucket]
+                 for key, bucket in index._by_exact_type.items()},
+                {key: [id(m) for m in bucket]
+                 for key, bucket in index._by_declaring.items()},
+                [id(m) for m in index.all_methods()],
+            )
+
+        ts = build_wix_project(scale=0.05).ts
+        rng = random.Random(20261016)
+        owners = [t for t in ts.all_types()
+                  if not t.is_primitive and t is not ts.void_type]
+        types = [t for t in ts.all_types() if t is not ts.void_type]
+        warm = MethodIndex(ts)
+        edits = 0
+        while edits < 240:
+            # one to three edits per refresh: windows naming several types
+            for _ in range(rng.randint(1, 3)):
+                owner = rng.choice(owners)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    # repeated parameter types exercise the per-method
+                    # bucket dedup; static methods have no receiver
+                    params = [Parameter("p{}".format(i), rng.choice(types))
+                              for i in range(rng.randint(0, 2))]
+                    owner.add_method(Method(
+                        "ZzM{}".format(edits), return_type=rng.choice(types),
+                        params=params + params[:rng.randint(0, 1)],
+                        is_static=rng.random() < 0.3))
+                elif kind == 1:
+                    owner.add_field(
+                        Field("zzF{}".format(edits), rng.choice(types)))
+                else:
+                    methods = list(owner.methods)
+                    rng.shuffle(methods)
+                    owner.set_member_order(methods=methods)
+                edits += 1
+            warm.refresh()
+            assert shape(warm) == shape(MethodIndex(ts)), edits
+        assert warm.rebuilds == 0
+        assert warm.patches > 0
+
     def test_structural_edit_forces_rebuild(self, world):
         ts, animal, dog, *_ = world
         lib = LibraryBuilder(ts)

@@ -239,6 +239,30 @@ class TestCacheReplay:
         assert not after.cached, \
             "a traced miss must not seed the shared cache"
 
+    def test_replays_skip_preflight_traced_or_not(self, engine, monkeypatch):
+        engine, context = engine
+        pe = parse("?({img})", context)
+        cold = engine.complete_query(pe, context)
+        calls = []
+        analyse = CompletionEngine.preflight
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return analyse(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompletionEngine, "preflight", counted)
+        untraced = engine.complete_query(pe, context)
+        traced = engine.complete_query(pe, context, trace=True)
+        assert calls == []
+        assert untraced.cached and traced.cached
+        assert traced.completions == untraced.completions
+        assert [c.expr.key() for c in traced.completions] \
+            == [c.expr.key() for c in cold.completions]
+        names = [span["name"] for span in traced.trace]
+        assert names.index("cache") < names.index("preflight")
+        [preflight] = [s for s in traced.trace if s["name"] == "preflight"]
+        assert preflight["counters"] == {"cached": 1}
+
     def test_explain_after_replay_is_never_empty(self, engine):
         engine, context = engine
         pe = parse("?({img})", context)
@@ -276,6 +300,29 @@ class TestMetrics:
         snapshot = engine.metrics.to_dict()
         assert snapshot["histograms"]["steps_per_query"]["count"] == 2
         assert json.loads(engine.metrics.to_json()) == snapshot
+
+    def test_completion_depth_counts_lookups(self):
+        from repro.lang.ast import Call, FieldAccess, iter_subtree
+
+        ts, context = _universe("paint")
+        engine = CompletionEngine(ts)
+        engine.complete_query(parse("img.?*f", context), context)
+        # img, four single lookups (img.Width ... img.DpuX), and the two
+        # img.Size.* chains
+        depth = engine.metrics.to_dict()["histograms"]["completion_depth"]
+        assert (depth["count"], depth["sum"]) == (7, 8.0)
+        assert depth["buckets"][:3] == [1, 4, 2]
+        ts, context = _universe("geometry")
+        engine = CompletionEngine(ts)
+        lookups = 0
+        for source in QUERIES["geometry"]:
+            outcome = engine.complete_query(parse(source, context), context)
+            lookups += sum(
+                isinstance(node, (FieldAccess, Call))
+                for completion in outcome.completions
+                for node in iter_subtree(completion.expr))
+        depth = engine.metrics.to_dict()["histograms"]["completion_depth"]
+        assert depth["sum"] == lookups
 
     def test_unsatisfiable_is_counted(self):
         ts, context = _universe("paint")

@@ -158,6 +158,147 @@ class TestEngineShortCircuit:
         assert outcome.completions
 
 
+def _expectations(ts, context):
+    """Expected types to ask each query for: none, void, every
+    primitive, string, and the scope's own types — enough to make the
+    pre-flight prove many of the queries empty."""
+    yield None
+    yield ts.void_type
+    yield from ts.primitives
+    yield ts.string_type
+    yield from context.locals.values()
+
+
+def _battery_worlds():
+    """Every builtin battery universe, as built and under each fuzz
+    transform family (one seeded application each)."""
+    from repro.eval.battery import BATTERIES
+    from repro.fuzz.harness import (
+        _context_for,
+        _workspace_for,
+        base_universe_doc,
+    )
+    from repro.fuzz.transforms import apply_transforms, transform_names
+
+    plans = [[]] + [[(family, seed)]
+                    for seed, family in enumerate(transform_names())]
+    for universe, battery in sorted(BATTERIES.items()):
+        for plan in plans:
+            doc, mapping = apply_transforms(base_universe_doc(universe), plan)
+            workspace = _workspace_for(doc, universe)
+            context = _context_for(workspace, battery.locals,
+                                   battery.this_type, mapping)
+            yield workspace.ts, context, battery.queries
+
+
+class TestPreflightSoundness:
+    """A warm replay skips pre-flight because the check is conservative:
+    it may call a query unsatisfiable only when the search finds
+    nothing.  This pins that invariant against the slow reference."""
+
+    def test_unsatisfiable_verdicts_have_no_completions(self):
+        proven = 0
+        for ts, context, queries in _battery_worlds():
+            engine = CompletionEngine(ts)
+            reference = CompletionEngine(
+                ts, EngineConfig(preflight=False, enable_cache=False))
+            for source in queries:
+                pe = parse(source, context)
+                for expected in _expectations(ts, context):
+                    for keyword in (None, "zzq"):
+                        report = engine.preflight(pe, context, expected,
+                                                  keyword)
+                        if not report.unsatisfiable:
+                            continue
+                        proven += 1
+                        assert reference.complete(
+                            pe, context, n=1, expected_type=expected,
+                            keyword=keyword,
+                        ) == [], (ts.fingerprint(), source, expected,
+                                  keyword)
+        assert proven > 100  # the check must actually bite
+
+
+class TestReplaySkipsPreflight:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        analyse = CompletionEngine.preflight
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return analyse(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompletionEngine, "preflight", counted)
+        return calls
+
+    def test_warm_satisfiable_replay_makes_no_preflight_call(
+            self, paint, paint_context, calls):
+        engine = CompletionEngine(paint.ts)
+        pe = parse("?({img, size})", paint_context)
+        cold = engine.complete_query(pe, paint_context)
+        assert len(calls) == 1
+        warm = engine.complete_query(pe, paint_context)
+        assert len(calls) == 1
+        assert warm.status is QueryStatus.OK
+        assert warm.cached and warm.steps == 0
+        assert warm.completions == cold.completions
+
+    def test_cached_empty_stream_still_runs_preflight(
+            self, paint, paint_context, calls):
+        engine = CompletionEngine(paint.ts)
+        pe = parse("?", paint_context)
+        void = paint.ts.void_type
+        # all_completions runs no pre-flight: it caches the empty stream
+        assert list(engine.all_completions(
+            pe, paint_context, expected_type=void)) == []
+        assert calls == []
+        outcome = engine.complete_query(pe, paint_context,
+                                        expected_type=void)
+        assert len(calls) == 1
+        assert outcome.status is QueryStatus.UNSATISFIABLE
+        assert outcome.steps == 0
+
+    @pytest.mark.parametrize("source,expect,keyword,code", [
+        ("?", "void", None, "RA020"),
+        ("?({img})", None, "zzq", "RA023"),
+    ])
+    def test_unsatisfiable_twice_on_cache_on_engine(
+            self, paint, paint_context, source, expect, keyword, code):
+        engine = CompletionEngine(paint.ts)
+        assert engine.cache is not None
+        expected = paint.ts.void_type if expect else None
+        pe = parse(source, paint_context)
+        first, second = (
+            engine.complete_query(pe, paint_context, expected_type=expected,
+                                  keyword=keyword)
+            for _ in range(2))
+        for outcome in (first, second):
+            assert outcome.status is QueryStatus.UNSATISFIABLE
+            assert outcome.steps == 0 and outcome.completions == []
+            assert code in codes(outcome.preflight_report)
+        assert first.preflight_report == second.preflight_report
+
+    def test_cli_batch_of_unsatisfiable_queries_exits_ok(self):
+        for argv in (["--expect", "void", "?", "?"],
+                     ["--keyword", "zzq", "?({img})", "?({img})"]):
+            output = []
+            code = cli_main(["complete", "--universe", "paint",
+                             "--let", "img=Document"] + argv,
+                            write=output.append)
+            assert code == EXIT_OK
+            assert "\n".join(output).count("(no completions)") == 2
+
+    def test_one_counted_lookup_per_query(self, paint, paint_context):
+        engine = CompletionEngine(paint.ts)
+        pe = parse("?", paint_context)
+        stats = engine.cache.stats
+        engine.complete_query(pe, paint_context)
+        assert (stats.stream_hits, stats.stream_misses) == (0, 1)
+        engine.complete_query(pe, paint_context)
+        assert (stats.stream_hits, stats.stream_misses) == (1, 1)
+
+
 class TestSessionAnalyze:
     def test_parse_error_becomes_ra022(self):
         session = CompletionSession(Workspace.builtin("paint"))
