@@ -106,10 +106,15 @@ class QueryBudget:
     def tick(self, cost: int = 1) -> bool:
         """Charge ``cost`` steps; ``True`` while within budget.
 
-        Once tripped, stays tripped (and stops reading the clock).
+        A charge ends where ``cost`` calls of ``tick()`` would: a trip
+        stops it at the tripping step (``max_steps + 1``).  Once tripped,
+        stays tripped (and stops charging and reading the clock).
         """
         if self.tripped is not None:
             return False
+        if cost != 1 and (self.token is not None or self.max_steps is not None
+                         or self.deadline_ms is not None):
+            return all(self.tick() for _ in range(cost))
         self.steps += cost
         if self.token is not None and self.token.cancelled:
             self.tripped = TRUNCATED_CANCELLED

@@ -36,6 +36,7 @@ from functools import cached_property
 from itertools import islice, product
 from typing import (
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -1180,41 +1181,59 @@ class _Query:
         max_steps: int,
         target: Optional[TypeDef],
     ) -> Iterator[Scored]:
-        """Best-first closure over lookup chains (Dijkstra on expressions)."""
+        """Best-first closure over lookup chains (Dijkstra on expressions).
+
+        One successor table per stream maps ``(base_type, remaining)`` to
+        the surviving ``(cost, member, is_call)`` edges and the number of
+        reachability checks that built them; a hit charges those steps.
+        Nothing is stored once reachability has degraded."""
         ts = self.ts
         ranker = self.ranker
+        meter = self.meter
         prune = target is not None and self.config.use_reachability
+        table: Dict[Tuple[TypeDef, int], Tuple[list, int]] = {}
 
-        def expand(score: int, node: Tuple[Expr, int]) -> Iterator[Scored]:
-            expr, steps = node
-            if steps >= max_steps:
-                return
-            base_type = expr.type
-            if base_type is None:
-                return
-            remaining = max_steps - steps - 1
-            for member in ts.instance_lookups(base_type):
-                if prune and not self._can_reach(
-                    member.type, target, remaining, methods
-                ):
-                    continue
-                cost = ranker.lookup_step_cost(base_type, member.declaring_type)
-                yield score + cost, (FieldAccess(expr, member), steps + 1)
+        def successors(base_type: TypeDef, remaining: int) -> list:
+            entry = table.get((base_type, remaining))
+            if entry is not None:
+                meter.tick(entry[1])
+                return entry[0]
+            lookups = [(member.type, member, False)
+                       for member in ts.instance_lookups(base_type)]
             if methods:
-                for method in ts.zero_arg_instance_methods(base_type):
-                    if method.return_type is None:
-                        continue
-                    if prune and not self._can_reach(
-                        method.return_type, target, remaining, methods
-                    ):
-                        continue
-                    cost = ranker.lookup_step_cost(
-                        base_type, method.declaring_type
-                    )
-                    yield score + cost, (Call(method, (expr,)), steps + 1)
+                lookups.extend(
+                    (method.return_type, method, True)
+                    for method in ts.zero_arg_instance_methods(base_type)
+                    if method.return_type is not None
+                )
+            edges = [
+                (ranker.lookup_step_cost(base_type, member.declaring_type),
+                 member, is_call)
+                for result_type, member, is_call in lookups
+                if not prune
+                or self._can_reach(result_type, target, remaining, methods)
+            ]
+            if "reachability" not in self.degraded:
+                table[(base_type, remaining)] = (
+                    edges, len(lookups) if prune else 0)
+            return edges
+
+        def expand(score: int, node: Tuple[Expr, int]) -> List[Scored]:
+            expr, steps = node
+            base_type = expr.type
+            if steps >= max_steps or base_type is None:
+                return []
+            steps += 1
+            return [
+                (score + cost,
+                 (Call(member, (expr,)) if is_call
+                  else FieldAccess(expr, member), steps))
+                for cost, member, is_call in successors(
+                    base_type, max_steps - steps)
+            ]
 
         seeds = [(score, (expr, 0)) for score, expr in roots]
-        for score, (expr, _steps) in best_first(seeds, expand, self.meter):
+        for score, (expr, _steps) in best_first(seeds, expand, meter):
             if self._fits(expr, target):
                 yield score, expr
 

@@ -12,7 +12,8 @@ combinator preserves that invariant:
   queries by the cross-query cache);
 * :func:`ordered_product` — tuples from several streams in order of total
   score (the "all choices of exactly one completion for each subexpression"
-  loop of Algorithm 1);
+  loop of Algorithm 1), each index vector pushed once, by its parent, and
+  stream ``j``'s item ``i + 1`` first pulled when ``i * e_j`` is popped;
 * :func:`merge_nested` — a sorted outer stream where each item expands to a
   finite batch of results costing at least the item's own score (the "all
   type-correct completions of e using concreteSubs" loop);
@@ -233,39 +234,70 @@ def ordered_product(
     budget: Optional[QueryBudget] = None,
 ) -> Iterator[Tuple[int, tuple]]:
     """Yield ``(total_score, (v1, ..., vk))`` over the cartesian product of
-    ``streams`` in non-decreasing total score (frontier search over index
-    vectors)."""
+    ``streams`` in non-decreasing total score.
+
+    Best-first search over index vectors in ``(total, vector)`` order.  A
+    vector's parent is itself with its last non-zero index decremented; a
+    popped vector pushes successors only at or after its last non-zero
+    position, so each vector is pushed once, by its parent, and no visited
+    set is kept.  Pull rule: the origin pulls item 0 of every stream, and
+    stream ``j``'s item ``i + 1`` is first pulled when the vector
+    ``i * e_j`` (all other indices 0) is popped.  One budget step is
+    charged per popped tuple.
+    """
     k = len(streams)
     if k == 0:
         yield 0, ()
         return
-    origin = (0,) * k
+    if k == 2:  # every assignment and comparison
+        yield from _pair_product(streams[0], streams[1], budget)
+        return
     first = [s.get(0) for s in streams]
     if any(item is None for item in first):
         return
     start_score = sum(item[0] for item in first)  # type: ignore[index]
-    heap: List[Tuple[int, Tuple[int, ...]]] = [(start_score, origin)]
-    visited = {origin}
+    # a heap entry carries its vector's last non-zero position
+    heap: List[Tuple[int, Tuple[int, ...], int]] = [(start_score, (0,) * k, 0)]
     while heap:
         if budget is not None and not budget.tick():
             return
-        score, indices = heapq.heappop(heap)
-        values = tuple(
-            streams[j].get(indices[j])[1] for j in range(k)  # type: ignore[index]
-        )
-        yield score, values
-        for j in range(k):
-            successor = indices[:j] + (indices[j] + 1,) + indices[j + 1 :]
-            if successor in visited:
-                continue
-            item = streams[j].get(successor[j])
+        score, indices, last = heapq.heappop(heap)
+        items = [stream.get(i) for stream, i in zip(streams, indices)]
+        yield score, tuple(item[1] for item in items)  # type: ignore[index]
+        for j in range(last, k):
+            item = streams[j].get(indices[j] + 1)
             if item is None:
                 continue
-            previous = streams[j].get(indices[j])
-            assert previous is not None
-            next_score = score - previous[0] + item[0]
-            visited.add(successor)
-            heapq.heappush(heap, (next_score, successor))
+            successor = indices[:j] + (indices[j] + 1,) + indices[j + 1 :]
+            next_score = score - items[j][0] + item[0]  # type: ignore[index]
+            heapq.heappush(heap, (next_score, successor, j))
+
+
+def _pair_product(
+    left: Materialized, right: Materialized, budget: Optional[QueryBudget]
+) -> Iterator[Tuple[int, tuple]]:
+    """:func:`ordered_product` of two streams as a flat loop: ``(i, j)``
+    pushes ``(i + 1, 0)`` when ``j == 0``, then ``(i, j + 1)``."""
+    left_get, right_get = left.get, right.get
+    a, b = left_get(0), right_get(0)
+    if a is None or b is None:
+        return
+    heap = [(a[0] + b[0], 0, 0)]
+    while heap:
+        if budget is not None and not budget.tick():
+            return
+        score, i, j = heapq.heappop(heap)
+        a, b = left_get(i), right_get(j)
+        yield score, (a[1], b[1])  # type: ignore[index]
+        if j == 0:
+            item = left_get(i + 1)
+            if item is not None:
+                heapq.heappush(
+                    heap, (score - a[0] + item[0], i + 1, 0))  # type: ignore[index]
+        item = right_get(j + 1)
+        if item is not None:
+            heapq.heappush(
+                heap, (score - b[0] + item[0], i, j + 1))  # type: ignore[index]
 
 
 @_monotone

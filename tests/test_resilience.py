@@ -13,6 +13,8 @@ Covers the contracts in ``docs/RESILIENCE.md``:
   modes, nesting).
 """
 
+from itertools import product
+
 import pytest
 
 from repro import (
@@ -33,8 +35,10 @@ from repro.engine.budget import (
     TRUNCATED_CANCELLED,
     TRUNCATED_TIMEOUT,
 )
+from repro.engine.completer import QueryStatus
 from repro.engine.streams import best_first
 from repro.ide import CompletionSession, Workspace
+from repro.lang import to_source
 from repro.testing import FaultError, FaultPlan, faults
 
 
@@ -124,6 +128,42 @@ class TestQueryBudget:
         budget = QueryBudget(max_steps=10)
         budget.tick()
         budget.raise_if_tripped()
+
+    def test_batched_tick_ends_where_unit_ticks_end(self):
+        # deadline 500 ms expires at the next clock check; 5 s never does
+        def run(batched, deadline_ms, max_steps, before, cost):
+            clock = FakeClock()
+            budget = QueryBudget(
+                deadline_ms=deadline_ms, max_steps=max_steps, clock=clock)
+            for _ in range(before):
+                budget.tick()
+            clock.advance(1.0)
+            if batched:
+                within = budget.tick(cost)
+            else:
+                within = (all([budget.tick() for _ in range(cost)])
+                          and budget.tripped is None)
+            return within, budget.steps, budget.tripped
+
+        for args in product((None, 5000.0, 500.0), (None, 0, 5, 12, 40),
+                            (0, 3, 5, 31), (0, 1, 2, 7, 33, 100)):
+            assert run(True, *args) == run(False, *args), args
+
+    def test_batched_tick_stops_at_the_tripping_step(self):
+        budget = QueryBudget(max_steps=1000)
+        assert budget.tick(995)
+        assert not budget.tick(12)
+        assert budget.steps == 1001
+        assert budget.tripped == TRUNCATED_BUDGET
+        assert not budget.tick(12)
+        assert budget.steps == 1001
+
+        token = CancellationToken()
+        budget = QueryBudget(token=token)
+        assert budget.tick(4)
+        token.cancel()
+        assert not budget.tick(10)
+        assert budget.steps == 5  # the first unit tick notices
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +381,74 @@ class TestDegradation:
             outcome = paint_engine.complete_query(pe, paint_context, n=10)
         assert "abstract_types" in outcome.degraded
         assert outcome.completions
+
+
+class TestChainSuccessorTable:
+    """A ``?`` argument with a known target type expands its chains from a
+    per-stream successor table; budgets and faults see the same work as
+    re-checking every expansion (figures recorded before the table)."""
+
+    TOP = [
+        (10, "now.AddDays(System.Math.PI)"),
+        (10, "now.AddDays(span.TotalSeconds)"),
+        (10, "now.AddDays(span.TotalDays)"),
+        (12, "now.AddDays(System.Environment.TickCount)"),
+        (12, "now.AddDays(now.Year)"),
+        (12, "now.AddDays(now.Month)"),
+        (12, "now.AddDays(now.Day)"),
+        (12, "now.AddDays(now.Ticks)"),
+        (12, "now.AddDays(span.Ticks)"),
+        (14, "now.AddDays(now.GetHashCode())"),
+    ]
+
+    @pytest.fixture
+    def query(self, core_ts):
+        context = Context(core_ts, locals={
+            "now": core_ts.get("System.DateTime"),
+            "span": core_ts.get("System.TimeSpan"),
+        })
+        return parse("now.AddDays(?)", context), context
+
+    @staticmethod
+    def run(ts, query, **kwargs):
+        pe, context = query
+        outcome = CompletionEngine(ts).complete_query(
+            pe, context, n=10, **kwargs)
+        return outcome, [(c.score, to_source(c.expr))
+                         for c in outcome.completions]
+
+    @pytest.mark.parametrize("max_steps, status, steps, top", [
+        (10, QueryStatus.BUDGET, 11, 0),
+        (100, QueryStatus.BUDGET, 101, 0),
+        (1000, QueryStatus.BUDGET, 1001, 3),
+        (10000, QueryStatus.OK, 1224, 10),
+    ])
+    def test_step_budgets_truncate_where_they_did(
+        self, core_ts, query, max_steps, status, steps, top
+    ):
+        outcome, completions = self.run(
+            core_ts, query, budget=QueryBudget(max_steps=max_steps))
+        assert outcome.status == status
+        assert outcome.steps == steps
+        assert completions == self.TOP[:top]
+
+    def test_table_hits_trip_one_step_past_the_budget(self, core_ts, query):
+        # table hits charge a batch of steps; a batch that crosses the
+        # budget must stop where the reachability checks would have
+        for max_steps in range(1, 130):
+            outcome, completions = self.run(
+                core_ts, query, budget=QueryBudget(max_steps=max_steps))
+            assert outcome.status == QueryStatus.BUDGET
+            assert outcome.steps == max_steps + 1
+            assert completions == []
+
+    def test_index_fault_disables_pruning_for_one_check(self, core_ts, query):
+        baseline, expected = self.run(core_ts, query)
+        assert baseline.degraded == set()
+        with faults.inject("index_lookup", on_call=20):
+            outcome, completions = self.run(core_ts, query)
+        assert "reachability" in outcome.degraded
+        assert completions == expected == self.TOP
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests (incl. property-based) for the score-ordered stream combinators."""
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.budget import TRUNCATED_BUDGET, QueryBudget
 from repro.engine.streams import (
     Materialized,
     best_first,
@@ -28,6 +29,62 @@ def is_sorted(scores):
 sorted_lists = st.lists(
     st.integers(min_value=0, max_value=50), max_size=20
 ).map(sorted)
+
+
+#: up to four streams of up to four tied-prone sorted scores
+product_streams = st.lists(
+    st.lists(st.integers(0, 3), max_size=4).map(sorted), max_size=4
+)
+
+
+class StreamFault(Exception):
+    """Raised by a logged stream at its planned pull."""
+
+
+def logged_streams(streams, events, fail=None):
+    """Materialize each score list as a stream whose values are
+    ``(stream, index)`` and which logs every underlying ``next()`` as
+    ``("pull", stream, index)``; ``fail=(j, i)`` makes stream ``j``
+    raise at pull ``i``."""
+
+    def stream(j, scores):
+        for index in range(len(scores) + 1):
+            events.append(("pull", j, index))
+            if fail == (j, index):
+                raise StreamFault(j, index)
+            if index == len(scores):
+                return
+            yield scores[index], (j, index)
+
+    return [Materialized(stream(j, scores)) for j, scores in enumerate(streams)]
+
+
+def sorted_vectors(streams):
+    """Every index vector with its total, by ``(total, vector)``."""
+    vectors = product(*(range(len(scores)) for scores in streams))
+    return sorted(
+        (sum(scores[i] for scores, i in zip(streams, vector)), vector)
+        for vector in vectors
+    )
+
+
+def expected_events(streams):
+    """The pulls and yields of the product under the pull rule: the origin
+    pulls item 0 of every stream, then item 1 of every stream once it is
+    yielded; ``i * e_j`` pulls item ``i + 1`` of stream ``j``."""
+    k = len(streams)
+    events = [("pull", j, 0) for j in range(k)]
+    if not all(streams):
+        return events if k else [("yield", ())]
+    for _total, vector in sorted_vectors(streams):
+        events.append(("yield", vector))
+        nonzero = [j for j in range(k) if vector[j]]
+        if not nonzero:
+            events.extend(("pull", j, 1) for j in range(k))
+        elif len(nonzero) == 1:
+            j = nonzero[0]
+            events.append(("pull", j, vector[j] + 1))
+    return events
 
 
 class TestMerge:
@@ -121,6 +178,62 @@ class TestOrderedProduct:
         assert is_sorted([s for s, _ in result])
         assert len(result) == len(a) * len(b)
         assert sorted(s for s, _ in result) == sorted(x + y for x in a for y in b)
+
+
+    @given(product_streams)
+    def test_exact_order_matches_brute_force(self, streams):
+        events, result = [], []
+        for score, values in ordered_product(logged_streams(streams, events)):
+            result.append((score, values))
+        expected = [(total, tuple(enumerate(vector)))
+                    for total, vector in sorted_vectors(streams)]
+        assert result == expected
+
+    @given(product_streams)
+    def test_pull_rule(self, streams):
+        # item i + 1 of stream j is first pulled when i * e_j is popped
+        events = []
+        for _score, values in ordered_product(logged_streams(streams, events)):
+            events.append(("yield", tuple(index for _j, index in values)))
+        assert events == expected_events(streams)
+
+    @given(product_streams, st.integers(0, 40))
+    def test_one_tick_per_tuple_and_budget_prefix(self, streams, max_steps):
+        unlimited = QueryBudget()
+        full = list(ordered_product(
+            [Materialized(scored(s)) for s in streams], unlimited))
+        assert unlimited.steps == (len(full) if streams else 0)
+        budget = QueryBudget(max_steps=max_steps)
+        truncated = list(ordered_product(
+            [Materialized(scored(s)) for s in streams], budget))
+        assert truncated == full[: len(truncated)]
+        if streams and max_steps < len(full):
+            assert len(truncated) == max_steps
+            assert budget.steps == max_steps + 1
+            assert budget.tripped == TRUNCATED_BUDGET
+        else:
+            assert truncated == full
+            assert budget.tripped is None
+
+    @given(product_streams, st.data())
+    def test_failing_stream_raises_at_the_same_pull(self, streams, data):
+        if not streams:
+            return
+        j = data.draw(st.integers(0, len(streams) - 1))
+        at = data.draw(st.integers(0, len(streams[j])))
+        expected = expected_events(streams)
+        planned = ("pull", j, at)
+        if planned in expected:  # else the product never gets that far
+            expected = expected[: expected.index(planned) + 1] + ["raised"]
+        events = []
+        product_ = ordered_product(
+            logged_streams(streams, events, fail=(j, at)))
+        try:
+            for _score, values in product_:
+                events.append(("yield", tuple(i for _j, i in values)))
+        except StreamFault:
+            events.append("raised")
+        assert events == expected
 
 
 class TestMergeNested:
