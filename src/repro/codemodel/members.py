@@ -10,7 +10,7 @@ fields").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .types import TypeDef
@@ -30,20 +30,37 @@ class Parameter:
 
 
 class Member:
-    """Common base for fields, properties and methods."""
+    """Common base for fields, properties and methods.
 
-    __slots__ = ("name", "declaring_type", "is_static")
+    ``name`` is fixed at construction (read-only) and ``declaring_type``
+    is set when a type adopts the member, so ``full_name`` is formatted
+    once per attachment and stored, like :attr:`TypeDef.full_name`.
+    """
+
+    __slots__ = ("_name", "_declaring_type", "is_static", "_full_name")
 
     def __init__(self, name: str, is_static: bool = False) -> None:
-        self.name = name
-        self.declaring_type: Optional["TypeDef"] = None
+        self._name = name
         self.is_static = is_static
+        self.declaring_type = None
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def declaring_type(self) -> Optional["TypeDef"]:
+        return self._declaring_type
+
+    @declaring_type.setter
+    def declaring_type(self, value: Optional["TypeDef"]) -> None:
+        self._declaring_type = value
+        self._full_name = self._name if value is None \
+            else "{}.{}".format(value.full_name, self._name)
 
     @property
     def full_name(self) -> str:
-        if self.declaring_type is None:
-            return self.name
-        return "{}.{}".format(self.declaring_type.full_name, self.name)
+        return self._full_name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<{} {}>".format(type(self).__name__, self.full_name)
@@ -79,10 +96,13 @@ class Method(Member):
     ``return_type`` is ``None`` for ``void``.  ``params`` holds the declared
     parameters only; :meth:`all_params` prepends a synthetic ``this``
     parameter for instance methods so that completion and ranking can treat
-    every call uniformly as ``m(e1, ..., en)``.
+    every call uniformly as ``m(e1, ..., en)``.  ``params`` and
+    ``is_static`` are fixed at construction, so that tuple is built once
+    per attachment to a declaring type.
     """
 
-    __slots__ = ("return_type", "params", "overrides", "is_constructor")
+    __slots__ = ("return_type", "params", "overrides", "is_constructor",
+                 "_all_params")
 
     def __init__(
         self,
@@ -93,9 +113,9 @@ class Method(Member):
         overrides: Optional["Method"] = None,
         is_constructor: bool = False,
     ) -> None:
+        self.params: Tuple[Parameter, ...] = tuple(params)
         super().__init__(name, is_static=is_static)
         self.return_type = return_type
-        self.params: Tuple[Parameter, ...] = tuple(params)
         #: the method this one overrides, if any (used to share abstract-type
         #: slots between a virtual method and its overrides)
         self.overrides: Optional[Method] = overrides
@@ -106,17 +126,27 @@ class Method(Member):
         if is_constructor:
             assert is_static and return_type is not None
 
+    @Member.declaring_type.setter
+    def declaring_type(self, value: Optional["TypeDef"]) -> None:
+        Member.declaring_type.fset(self, value)
+        if self.is_static:
+            self._all_params = self.params
+        elif value is None:
+            self._all_params = None
+        else:
+            self._all_params = (Parameter("this", value),) + self.params
+
     @property
     def arity(self) -> int:
         """Number of arguments including the receiver for instance methods."""
         return len(self.params) + (0 if self.is_static else 1)
 
-    def all_params(self) -> List[Parameter]:
-        """Declared parameters, with the receiver prepended when instance."""
-        if self.is_static:
-            return list(self.params)
-        assert self.declaring_type is not None, "method not attached to a type"
-        return [Parameter("this", self.declaring_type)] + list(self.params)
+    def all_params(self) -> Tuple[Parameter, ...]:
+        """Declared parameters, with the receiver prepended when instance.
+
+        Callers must not mutate the result."""
+        assert self._all_params is not None, "method not attached to a type"
+        return self._all_params
 
     def root_declaration(self) -> "Method":
         """Walk the ``overrides`` chain to the original virtual declaration.

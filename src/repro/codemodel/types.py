@@ -35,7 +35,8 @@ class TypeDef:
     ``name`` and ``namespace`` are fixed at construction (both are
     read-only), so ``full_name`` is formatted once and stored: a
     registry keys its types and every derived index keys its memos by
-    that string.
+    that string.  ``namespace_parts``, which the ranking's namespace term
+    reads per scored call, is split once the same way.
 
     Parameters
     ----------
@@ -64,6 +65,7 @@ class TypeDef:
         "_name",
         "_namespace",
         "_full_name",
+        "_namespace_parts",
         "kind",
         "_base",
         "_interfaces",
@@ -90,6 +92,8 @@ class TypeDef:
         self._namespace = namespace
         self._full_name = "{}.{}".format(namespace, name) if namespace \
             else name
+        self._namespace_parts: Tuple[str, ...] = \
+            tuple(namespace.split(".")) if namespace else ()
         self.kind = kind
         self._base = base
         self._interfaces: Tuple[TypeDef, ...] = tuple(interfaces)
@@ -147,9 +151,7 @@ class TypeDef:
     @property
     def namespace_parts(self) -> Tuple[str, ...]:
         """The namespace as a tuple of segments (empty for the global ns)."""
-        if not self.namespace:
-            return ()
-        return tuple(self.namespace.split("."))
+        return self._namespace_parts
 
     @property
     def is_primitive(self) -> bool:

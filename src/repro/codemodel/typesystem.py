@@ -10,8 +10,9 @@ where ``s(a)`` is the *declared immediate supertype* of ``a`` that minimises
 ``td(s(a), b)``; for primitive types the immediate supertypes are the
 single-step implicit widening conversions (``int -> long``, ``float ->
 double``, ...).  This makes ``td`` the shortest-path length from ``a`` to
-``b`` in the declared-supertype graph, which is how we compute it (BFS,
-memoised).
+``b`` in the declared-supertype graph, which is how we compute it: one
+breadth-first walk per source type gives its distance to everything it
+converts to, memoised as that source's *distance map*.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ _NUMERIC_PRIMITIVES = frozenset(
     ["byte", "char", "short", "int", "long", "float", "double", "decimal"]
 )
 
-#: ``type_distance`` memo sentinel: ``None`` is a memoised answer
-_UNKNOWN = object()
-
 
 class TypeSystem:
     """A registry of :class:`TypeDef` plus subtyping and distance queries.
@@ -59,10 +57,11 @@ class TypeSystem:
     def __init__(self) -> None:
         self._types: Dict[str, TypeDef] = {}
         self._version = 0
-        #: keyed on the ``TypeDef`` pair itself (types hash by identity)
-        self._td_cache: Dict[Tuple[TypeDef, TypeDef], Optional[int]] = {}
+        #: per-source distance maps (see :meth:`distances_from`), keyed on
+        #: the source ``TypeDef`` itself (types hash by identity)
+        self._distance_maps: Dict[TypeDef, Dict[TypeDef, int]] = {}
         self._supertype_cache: Dict[str, Tuple[TypeDef, ...]] = {}
-        #: per-type supertype walks (BFS order, self first) and their
+        #: per-type supertype walks (a distance map's keys) and their
         #: sets; dropped with ``_supertype_cache``
         self._supertype_order_cache: Dict[str, Tuple[TypeDef, ...]] = {}
         self._closure_cache: Dict[str, FrozenSet[TypeDef]] = {}
@@ -180,7 +179,7 @@ class TypeSystem:
         if origin is None:
             # only base, interfaces and kind feed distances and supertype
             # lists, and only structural edits move those
-            self._td_cache.clear()
+            self._distance_maps.clear()
             self._supertype_cache.clear()
             self._supertype_order_cache.clear()
             self._closure_cache.clear()
@@ -355,25 +354,16 @@ class TypeSystem:
         """``typedef`` plus everything it implicitly converts to, in BFS
         order over the supertype graph (self first, nearest types next).
 
-        Memoised per type until a structural edit or a registration;
-        member edits keep it.  Callers must not mutate the result.
+        The keys of :meth:`distances_from`, memoised per type until a
+        structural edit or a registration; member edits keep it.  Callers
+        must not mutate the result.
         """
         key = typedef.full_name
         cached = self._supertype_order_cache.get(key)
-        if cached is not None:
-            return cached
-        order: List[TypeDef] = []
-        seen = {typedef}
-        queue = deque([typedef])
-        while queue:
-            current = queue.popleft()
-            order.append(current)
-            for parent in self.immediate_supertypes(current):
-                if parent not in seen:
-                    seen.add(parent)
-                    queue.append(parent)
-        result = self._supertype_order_cache[key] = tuple(order)
-        return result
+        if cached is None:
+            cached = self._supertype_order_cache[key] = tuple(
+                self.distances_from(typedef))
+        return cached
 
     def supertype_closure(self, typedef: TypeDef) -> FrozenSet[TypeDef]:
         """``typedef`` plus everything it implicitly converts to, as a set
@@ -398,39 +388,41 @@ class TypeSystem:
     # ------------------------------------------------------------------
     # type distance (the paper's td)
     # ------------------------------------------------------------------
+    def distances_from(self, source: TypeDef) -> Dict[TypeDef, int]:
+        """``td(source, t)`` for every ``t`` that ``source`` implicitly
+        converts to, in breadth-first order (``source`` first, at 0).
+
+        One walk per source, memoised until a structural edit or a
+        registration; member edits keep it.  Callers must not mutate the
+        result.
+        """
+        distances = self._distance_maps.get(source)
+        if distances is not None:
+            return distances
+        distances = {source: 0}
+        frontier = [source]
+        depth = 0
+        while frontier:
+            depth += 1
+            next_frontier: List[TypeDef] = []
+            for node in frontier:
+                for parent in self.immediate_supertypes(node):
+                    if parent not in distances:
+                        distances[parent] = depth
+                        next_frontier.append(parent)
+            frontier = next_frontier
+        self._distance_maps[source] = distances
+        return distances
+
     def type_distance(self, source: TypeDef, target: TypeDef) -> Optional[int]:
         """``td(source, target)``: BFS depth in the supertype graph.
 
         Returns ``None`` when undefined (no implicit conversion).
         """
-        key = (source, target)
-        cached = self._td_cache.get(key, _UNKNOWN)
-        if cached is not _UNKNOWN:
-            return cached
-
-        distance: Optional[int] = None
-        if source is target:
-            distance = 0
-        else:
-            seen: Set[TypeDef] = {source}
-            frontier = [source]
-            depth = 0
-            while frontier and distance is None:
-                depth += 1
-                next_frontier: List[TypeDef] = []
-                for node in frontier:
-                    for parent in self.immediate_supertypes(node):
-                        if parent is target:
-                            distance = depth
-                            break
-                        if parent not in seen:
-                            seen.add(parent)
-                            next_frontier.append(parent)
-                    if distance is not None:
-                        break
-                frontier = next_frontier
-        self._td_cache[key] = distance
-        return distance
+        distances = self._distance_maps.get(source)
+        if distances is None:
+            distances = self.distances_from(source)
+        return distances.get(target)
 
     # ------------------------------------------------------------------
     # comparability (for the `<` / `>=` operator)

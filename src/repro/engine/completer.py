@@ -53,7 +53,7 @@ from ..obs.metrics import DEFAULT_BOUNDS, Metrics
 from ..obs.runlog import RunLog
 from ..obs.trace import Span, Tracer
 from ..testing import faults
-from ..codemodel.members import Method
+from ..codemodel.members import Method, Parameter
 from ..codemodel.types import TypeDef
 from ..codemodel.typesystem import TypeSystem
 from ..lang.ast import (
@@ -1282,9 +1282,13 @@ class _Query:
         """All method completions using exactly these argument expressions
         (cheapest argument placement per method)."""
         arg_types = [a.type for a in args]
+        distance_maps = [None if arg_type is None
+                         else self.ts.distances_from(arg_type)
+                         for arg_type in arg_types]
         results: List[Tuple[int, str, Expr]] = []
         for method in self._candidate_methods(arg_types):
-            if method.arity < len(args):
+            params = method.all_params()
+            if len(params) < len(args):
                 continue
             if method.is_constructor and not self.config.generate_constructors:
                 continue
@@ -1292,7 +1296,8 @@ class _Query:
                 continue
             if self.keyword is not None and self.keyword not in method.name.lower():
                 continue
-            best = self._best_placement(method, args, arg_types)
+            best = self._best_placement(
+                method, params, args, arg_types, distance_maps)
             if best is not None:
                 score, call = best
                 results.append((base + score, method.full_name, call))
@@ -1302,50 +1307,74 @@ class _Query:
     def _best_placement(
         self,
         method: Method,
+        params: Tuple[Parameter, ...],
         args: tuple,
         arg_types: List[Optional[TypeDef]],
+        distance_maps: List[Optional[Dict[TypeDef, int]]],
     ) -> Optional[Tuple[int, Call]]:
         """Cheapest injective placement of the argument set into the
         method's parameter positions; remaining positions become ``0``.
-        Exhaustive search over the type-correct placements; ``None``
-        when there is none."""
-        params = method.all_params()
-        arity = len(params)
-        type_distance = self.ts.type_distance
-        compatible: List[List[int]] = []
-        for arg_type in arg_types:
-            positions = [
-                position for position, param in enumerate(params)
-                if arg_type is None
-                or type_distance(arg_type, param.type) is not None
-            ]
-            if not positions:
-                return None
-            compatible.append(positions)
 
-        # product() walks the placements in the order of a depth-first
-        # search over ``compatible``, so ties keep the first placement
-        receiver_required = (
-            not method.is_static and not self.config.allow_unfilled_receiver
-        )
-        best: Optional[Tuple[int, Tuple[Expr, ...]]] = None
-        for positions in product(*compatible):
-            if len(set(positions)) < len(positions):
-                continue  # two arguments in one slot
-            full_args: List[Expr] = [Unfilled()] * arity
-            types: List[Optional[TypeDef]] = [None] * arity
-            for position, arg, arg_type in zip(positions, args, arg_types):
-                full_args[position] = arg
-                types[position] = arg_type
-            if receiver_required and types[0] is None:
-                continue
-            placed = tuple(full_args)
-            extra = self.ranker.call_completion_cost(method, types, placed)
-            if extra is not None and (best is None or extra < best[0]):
-                best = (extra, placed)
-        if best is None:
+        Each argument's row lists the positions it converts to with its
+        type distance there, read from the argument type's distance map
+        (a wildcard fits every position at distance 0).  The search walks
+        the product of the rows, a depth-first order, so ties keep the
+        first placement; each placement costs the sum of its slots'
+        :meth:`Ranker.call_slot_cost`.  The placement-invariant
+        :meth:`Ranker.call_fixed_cost` is added once, to the winner.
+        ``None`` when no placement type-checks."""
+        arity = len(params)
+        rows: List[List[Tuple[int, int]]] = []
+        for distances in distance_maps:
+            if distances is None:
+                row = [(position, 0) for position in range(arity)]
+            else:
+                row = []
+                for position, param in enumerate(params):
+                    distance = distances.get(param.type)
+                    if distance is not None:
+                        row.append((position, distance))
+                if not row:
+                    return None
+            rows.append(row)
+
+        # an unfilled receiver is a `0` receiver, which a property-like
+        # zero-argument call never has (Ranker.call_completion_cost)
+        receiver_required = not method.is_static and (
+            not self.config.allow_unfilled_receiver
+            or method.is_zero_arg_instance)
+        slot_cost = self.ranker.call_slot_cost
+        empty = Unfilled()
+        best_cost: Optional[int] = None
+        best_slots: List[Optional[Tuple[Expr, int]]] = []
+        for choice in product(*rows):
+            # (argument, type distance) per slot; None for an empty slot
+            slots: List[Optional[Tuple[Expr, int]]] = [None] * arity
+            for arg, (position, distance) in zip(args, choice):
+                if slots[position] is not None:
+                    break  # two arguments in one slot
+                slots[position] = (arg, distance)
+            else:
+                receiver = None
+                if not method.is_static and slots[0] is not None:
+                    receiver = slots[0][0].type
+                if receiver_required and receiver is None:
+                    continue
+                cost = 0
+                for position, slot in enumerate(slots):
+                    if slot is None:
+                        cost += slot_cost(method, position, 0, receiver, empty)
+                    else:
+                        cost += slot_cost(method, position, slot[1], receiver,
+                                          slot[0])
+                if best_cost is None or cost < best_cost:
+                    best_cost, best_slots = cost, slots
+        if best_cost is None:
             return None
-        return best[0], Call(method, best[1])
+        placed = tuple(empty if slot is None else slot[0]
+                       for slot in best_slots)
+        return (best_cost + self.ranker.call_fixed_cost(method, arg_types),
+                Call(method, placed))
 
     def _return_matches(self, method: Method, target: Optional[TypeDef]) -> bool:
         if target is None:

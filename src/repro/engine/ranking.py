@@ -23,7 +23,7 @@ sensitivity analysis can run every ``-x`` / ``+x`` variant:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Set
+from typing import Optional, Sequence, Set
 
 from ..analysis.scope import Context
 from ..testing import faults
@@ -183,27 +183,21 @@ class Ranker:
         return cost
 
     def _score_call(self, expr: Call) -> int:
-        method = expr.method
         # Zero-argument calls are property-like navigation steps, scored as
-        # lookups: the paper counts dots("this.bar.ToBaz()") = 2, treating
-        # the call as one more dot, and allows zero-argument methods in
-        # chains "because they are often used in place of properties".
-        if method.is_zero_arg_instance:
-            receiver = expr.args[0]
-            return self.score(receiver) + self.lookup_step_cost(
-                receiver.type, method.declaring_type
-            )
-        if method.is_static and not method.params:
-            # a global chain root (`Type.Method()`), like a static field
-            return DOT_COST if self.config.depth else 0
+        # lookups (see :meth:`call_fixed_cost`): the paper counts
+        # dots("this.bar.ToBaz()") = 2, treating the call as one more dot,
+        # and allows zero-argument methods in chains "because they are
+        # often used in place of properties".
         cost = 0
         for arg in expr.args:
             cost += self.score(arg)
-        extra = self.call_cost(method, [a.type for a in expr.args], expr.args)
+        extra = self.call_cost(
+            expr.method, [a.type for a in expr.args], expr.args)
         if extra is None:
             # type-incorrect expressions are not rankable; surface loudly
             raise ValueError(
-                "scoring a type-incorrect call: {}".format(method.full_name)
+                "scoring a type-incorrect call: {}".format(
+                    expr.method.full_name)
             )
         return cost + extra
 
@@ -230,11 +224,12 @@ class Ranker:
     def call_cost(
         self,
         method: Method,
-        arg_types: "list[Optional[TypeDef]]",
-        args: "Optional[tuple]" = None,
+        arg_types: "Sequence[Optional[TypeDef]]",
+        args: "Optional[Sequence[Expr]]" = None,
     ) -> Optional[int]:
         """All call-level terms given the argument types (excluding the
-        arguments' own subexpression scores).
+        arguments' own subexpression scores): :meth:`call_slot_cost` of
+        every parameter slot plus :meth:`call_fixed_cost`.
 
         Returns ``None`` when the call does not type-check.  ``args`` (the
         actual expressions) is only needed for the abstract-type term; pass
@@ -245,20 +240,66 @@ class Ranker:
         params = method.all_params()
         if len(params) != len(arg_types):
             return None
-        cost = 0
         receiver_type = None if method.is_static else arg_types[0]
+        type_distance = self.ts.type_distance
+        cost = 0
         for index, (param, arg_type) in enumerate(zip(params, arg_types)):
             if arg_type is None:
-                distance = 0  # Unfilled wildcard
+                distance: Optional[int] = 0  # Unfilled wildcard
             else:
-                maybe = self.ts.type_distance(arg_type, param.type)
-                if maybe is None:
+                distance = type_distance(arg_type, param.type)
+                if distance is None:
                     return None
-                distance = maybe
-            if self.config.type_distance:
-                cost += distance
-            if self.config.abstract_types:
-                cost += self._abstype_mismatch(method, index, receiver_type, args)
+            cost += self.call_slot_cost(
+                method, index, distance, receiver_type,
+                None if args is None else args[index])
+        return cost + self.call_fixed_cost(method, arg_types)
+
+    def call_slot_cost(
+        self,
+        method: Method,
+        index: int,
+        distance: int,
+        receiver_type: Optional[TypeDef],
+        arg: Optional[Expr] = None,
+    ) -> int:
+        """The terms of parameter slot ``index`` of a call: the type
+        distance of its argument (``distance``, 0 for a wildcard or an
+        empty slot) and the abstract-type term, which may depend on the
+        receiver's type.  ``arg`` is the expression in the slot
+        (``Unfilled`` when empty), or ``None`` for no abstract-type
+        information about it.  The receiver of a property-like
+        zero-argument call carries its type distance only."""
+        cost = distance if self.config.type_distance else 0
+        if not self.config.abstract_types or not method.params:
+            return cost
+        param_root = arg_root = None
+        try:
+            faults.fire("oracle")
+            param_root = self.abstypes.of_param(method, index, receiver_type)
+            if arg is not None:
+                arg_root = self.abstypes.of_expr(arg)
+        except Exception:
+            # a broken oracle answers like NULL_ORACLE: undefined on both
+            # sides, which counts as a mismatch below
+            self.degraded.add("abstract_types")
+            param_root = arg_root = None
+        if param_root is None or arg_root is None or param_root != arg_root:
+            cost += 1
+        return cost
+
+    def call_fixed_cost(
+        self, method: Method, arg_types: "Sequence[Optional[TypeDef]]"
+    ) -> int:
+        """The call terms that do not depend on which slot holds which
+        argument: the receiver dot, the in-scope-static term and the
+        namespace term (its type list is the arguments' types, and a
+        placement only reorders them).  A zero-argument call is a lookup
+        (instance) or a global chain root (static): one dot and nothing
+        else."""
+        if not method.params:
+            return DOT_COST if self.config.depth else 0
+        cost = 0
         if self.config.depth and not method.is_static:
             cost += DOT_COST  # the receiver dot
         if self.config.in_scope_static:
@@ -269,7 +310,7 @@ class Ranker:
         return cost
 
     def _guarded_namespace_cost(
-        self, method: Method, arg_types: "list[Optional[TypeDef]]"
+        self, method: Method, arg_types: "Sequence[Optional[TypeDef]]"
     ) -> int:
         try:
             faults.fire("namespaces")
@@ -282,49 +323,18 @@ class Ranker:
     def call_completion_cost(
         self,
         method: Method,
-        arg_types: "list[Optional[TypeDef]]",
-        args: "Optional[tuple]" = None,
+        arg_types: "Sequence[Optional[TypeDef]]",
+        args: "Optional[Sequence[Expr]]" = None,
     ) -> Optional[int]:
-        """The call-node cost used by the engine, consistent with
-        :meth:`score`: zero-argument instance calls cost like lookups,
-        zero-argument static calls like global roots, everything else the
-        full call terms."""
-        if method.is_zero_arg_instance:
-            receiver_type = arg_types[0]
-            if receiver_type is None:
-                return None  # a method cannot be invoked on `0`
-            if self.ts.type_distance(receiver_type, method.declaring_type) is None:
-                return None
-            return self.lookup_step_cost(receiver_type, method.declaring_type)
-        if method.is_static and not method.params:
-            return DOT_COST if self.config.depth else 0
+        """The call-node cost used by the engine: :meth:`call_cost`, except
+        that a zero-argument instance call cannot be invoked on ``0``."""
+        if method.is_zero_arg_instance and arg_types and arg_types[0] is None:
+            return None
         return self.call_cost(method, arg_types, args)
-
-    def _abstype_mismatch(
-        self,
-        method: Method,
-        index: int,
-        receiver_type: Optional[TypeDef],
-        args: "Optional[tuple]",
-    ) -> int:
-        param_root = arg_root = None
-        try:
-            faults.fire("oracle")
-            param_root = self.abstypes.of_param(method, index, receiver_type)
-            if args is not None:
-                arg_root = self.abstypes.of_expr(args[index])
-        except Exception:
-            # a broken oracle answers like NULL_ORACLE: undefined on both
-            # sides, which counts as a mismatch below
-            self.degraded.add("abstract_types")
-            param_root = arg_root = None
-        if param_root is None or arg_root is None or param_root != arg_root:
-            return 1
-        return 0
 
     def _abstype_pair_mismatch(self, lhs: Expr, rhs: Expr) -> int:
         """The abstract-type term for assignment/comparison pairs, with
-        the same degradation contract as :meth:`_abstype_mismatch`."""
+        the same degradation contract as :meth:`call_slot_cost`."""
         left_root = right_root = None
         try:
             faults.fire("oracle")
@@ -338,7 +348,7 @@ class Ranker:
         return 0
 
     def namespace_cost(
-        self, method: Method, arg_types: "list[Optional[TypeDef]]"
+        self, method: Method, arg_types: "Sequence[Optional[TypeDef]]"
     ) -> int:
         """``3 - min(3, |common namespace prefix|)``; similarity is 0 when
         fewer than two non-primitive argument types participate."""
@@ -420,11 +430,9 @@ class Ranker:
 
 
 def _common_prefix_length(sequences: "list[tuple]") -> int:
-    if not sequences:
-        return 0
-    shortest = min(len(s) for s in sequences)
-    for index in range(shortest):
-        segment = sequences[0][index]
-        if any(s[index] != segment for s in sequences[1:]):
-            return index
-    return shortest
+    length = 0
+    for segments in zip(*sequences):
+        if segments.count(segments[0]) != len(segments):
+            break
+        length += 1
+    return length

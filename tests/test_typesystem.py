@@ -322,7 +322,7 @@ class TestCacheInvalidation:
             for target in types:
                 ts.type_distance(source, target)
             ts.immediate_supertypes(source)
-        memoised = len(ts._td_cache)
+        memoised = len(ts._distance_maps)
         document = ts.get("PaintDotNet.Document")
         document.add_field(Field("zzF", ts.string_type))
         document.add_method(Method(
@@ -332,7 +332,7 @@ class TestCacheInvalidation:
         # only base, interfaces and kind feed distances: member edits
         # keep the memos, and the memos still give a fresh universe's
         # answers
-        assert len(ts._td_cache) == memoised
+        assert len(ts._distance_maps) == memoised
         fresh = load_type_system(dump_type_system(ts))
         for source in types:
             for target in types:
@@ -398,13 +398,19 @@ class TestTypeIdentity:
     def test_unpickled_memos_hold_only_the_copys_types(self):
         ts = _pristine("paint")
         for typedef in ts.all_types():
-            ts.supertype_closure(typedef)  # fills all three memos
+            ts.supertype_closure(typedef)  # fills all four memos
         copy = pickle.loads(pickle.dumps(ts, pickle.HIGHEST_PROTOCOL))
         own = {id(t) for t in copy.all_types()}
+
+        def names(memo):
+            # the distance maps are keyed on the source type itself
+            return {getattr(key, "full_name", key) for key in memo}
+
         for memo in ("_supertype_cache", "_supertype_order_cache",
-                     "_closure_cache"):
-            assert set(getattr(copy, memo)) == set(getattr(ts, memo))
-            for walk in getattr(copy, memo).values():
+                     "_closure_cache", "_distance_maps"):
+            assert names(getattr(copy, memo)) == names(getattr(ts, memo))
+            for key, walk in getattr(copy, memo).items():
+                assert isinstance(key, str) or id(key) in own, memo
                 assert all(id(t) in own for t in walk), memo
         for typedef in copy.all_types():
             assert [t.full_name for t in copy.supertype_order(typedef)] == [
@@ -493,8 +499,8 @@ def _distance_pairs(ts, sources):
 class TestSupertypeWalkMemo:
     """``supertype_order`` / ``supertype_closure`` are memoised per type
     until a structural edit; member edits keep the very same objects.
-    ``type_distance``'s memo, keyed on the type pair, must answer like a
-    fresh universe across the same edits."""
+    ``type_distance``'s per-source distance maps must answer like a fresh
+    universe across the same edits."""
 
     @pytest.mark.parametrize("universe", WALK_UNIVERSES)
     @settings(max_examples=10, deadline=None)
@@ -541,3 +547,136 @@ class TestSupertypeWalkMemo:
                 assert ts.type_distance(source, target) == \
                     fresh.type_distance(fresh.get(source.full_name),
                                         fresh.get(target.full_name))
+
+
+# ----------------------------------------------------------------------
+# per-source distance maps against an independent breadth-first search
+# ----------------------------------------------------------------------
+#: the C# one-step implicit widenings, written out independently of the
+#: type system's own table
+WIDENINGS = {
+    "byte": ("short",), "char": ("int",), "short": ("int",),
+    "int": ("long", "float"), "long": ("float", "decimal"),
+    "float": ("double",),
+}
+
+#: one drawn type: (is interface, base pick, interface picks); picks
+#: only reach types drawn earlier, so every hierarchy is acyclic
+HIERARCHY = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 10 ** 6),
+              st.lists(st.integers(0, 10 ** 6), max_size=3)),
+    min_size=1, max_size=10)
+
+#: one edit: (kind, pick, second pick); kinds 0-2 are member edits,
+#: 3 re-points a base, 4 adds an interface, 5 registers a type
+DISTANCE_EDITS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 10 ** 6),
+              st.integers(0, 10 ** 6)),
+    max_size=6)
+
+
+def _drawn_type(ts, drawn, serial, is_interface, base_pick, picks):
+    """Register one drawn type whose edges point at earlier drawn types."""
+    classes = [t for t in drawn if not t.is_interface]
+    interfaces = [t for t in drawn if t.is_interface]
+    base = None
+    if not is_interface and classes and base_pick % 3:
+        base = classes[base_pick % len(classes)]
+    chosen = () if not interfaces else tuple(dict.fromkeys(
+        interfaces[pick % len(interfaces)] for pick in picks))
+    typedef = ts.register(TypeDef(
+        "T{}".format(serial), "Drawn",
+        kind=TypeKind.INTERFACE if is_interface else TypeKind.CLASS,
+        base=base, interfaces=chosen))
+    drawn.append(typedef)
+    return typedef
+
+
+def _reference_distances(ts, source):
+    """Breadth-first search over the declared edges alone: a primitive's
+    widenings; otherwise the base (``Object`` when none is declared)
+    and the declared interfaces."""
+
+    def parents(typedef):
+        if typedef.kind is TypeKind.PRIMITIVE:
+            return [ts.primitive(name)
+                    for name in WIDENINGS.get(typedef.name, ())]
+        if typedef is ts.object_type:
+            return list(typedef.interfaces)
+        return [typedef.base or ts.object_type] + list(typedef.interfaces)
+
+    distances = {source: 0}
+    frontier = [source]
+    while frontier:
+        following = []
+        for node in frontier:
+            for parent in parents(node):
+                if parent not in distances:
+                    distances[parent] = distances[node] + 1
+                    following.append(parent)
+        frontier = following
+    return distances
+
+
+def _apply_distance_edit(ts, drawn, edit, serial):
+    """Apply one drawn edit; True when it is structural."""
+    kind, pick, other = edit
+    owner = drawn[pick % len(drawn)]
+    earlier = drawn[:drawn.index(owner)]
+    if kind == 0:
+        owner.add_field(Field("zzF{}".format(serial), ts.string_type))
+    elif kind == 1:
+        owner.add_method(Method("ZzM{}".format(serial), owner,
+                                params=(Parameter("x", owner),)))
+    elif kind == 2:
+        owner.set_member_order(methods=list(reversed(owner.methods)))
+    elif kind == 3 and not owner.is_interface:
+        classes = [t for t in earlier if not t.is_interface]
+        owner.base = classes[other % len(classes)] if classes else None
+    elif kind == 4 and any(t.is_interface for t in earlier):
+        interfaces = [t for t in earlier if t.is_interface]
+        owner.interfaces = tuple(dict.fromkeys(
+            owner.interfaces + (interfaces[other % len(interfaces)],)))
+    else:
+        _drawn_type(ts, drawn, "New{}".format(serial), other % 2 == 0,
+                    pick, [other])
+    return kind > 2
+
+
+class TestDistanceMaps:
+    """``type_distance`` reads one breadth-first distance map per source
+    type; member edits keep every map, structural edits and
+    registrations drop them all."""
+
+    @staticmethod
+    def _check(ts):
+        types = ts.all_types()
+        for source in types:
+            expected = _reference_distances(ts, source)
+            distances = ts.distances_from(source)
+            assert distances == expected
+            assert tuple(distances) == ts.supertype_order(source)
+            for target in types:
+                assert ts.type_distance(source, target) == \
+                    expected.get(target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hierarchy=HIERARCHY, edits=DISTANCE_EDITS)
+    def test_maps_equal_independent_search_across_edits(self, hierarchy,
+                                                        edits):
+        ts = TypeSystem()
+        drawn = []
+        for serial, spec in enumerate(hierarchy):
+            _drawn_type(ts, drawn, serial, *spec)
+        self._check(ts)
+        for serial, edit in enumerate(edits):
+            before = dict(ts._distance_maps)
+            assert before
+            structural = _apply_distance_edit(ts, drawn, edit, serial)
+            if structural:
+                assert ts._distance_maps == {}
+            else:
+                assert ts._distance_maps.keys() == before.keys()
+                assert all(ts._distance_maps[source] is distances
+                           for source, distances in before.items())
+            self._check(ts)
