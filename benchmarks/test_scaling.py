@@ -9,31 +9,18 @@ import time
 
 from conftest import emit
 
-from repro import Context, CompletionEngine, MethodIndex, parse
-from repro.corpus import SynthesisSpec, synthesize_project
+from repro import CompletionEngine, MethodIndex, parse
+from repro.corpus import synthesize_project
+from tests.conftest import scaling_spec
 
 SIZES = [10, 30, 90]
-
-
-def _universe(num_classes):
-    spec = SynthesisSpec(
-        name="scale{}".format(num_classes),
-        seed=4242,
-        namespace_root="Scale",
-        nouns=["Alpha", "Beta", "Gamma", "Delta"],
-        num_classes=num_classes,
-        num_helper_classes=max(2, num_classes // 5),
-        num_client_classes=1,
-    )
-    project = synthesize_project(spec)
-    return project
 
 
 def test_scaling(benchmark):
     def run():
         rows = []
         for size in SIZES:
-            project = _universe(size)
+            project = synthesize_project(scaling_spec(size))
             ts = project.ts
             methods = sum(1 for _ in ts.all_methods())
 

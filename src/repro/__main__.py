@@ -10,7 +10,6 @@
     python -m repro stats --validate-trace trace.ndjson
     python -m repro stats --validate-runlog runlog.ndjson
     python -m repro eval [--full]
-    python -m repro bench --quick --compare benchmarks/baseline/BENCH_seed.json
     python -m repro fuzz --seed 7 --iterations 50 --chaos
     python -m repro fuzz --replay FUZZ_REPRO_seed7_iter3.json
     python -m repro serve --universes paint,bcl --port 8137 \
@@ -20,7 +19,7 @@
     python -m repro stats --url http://127.0.0.1:8137 --watch 2
     python -m repro slo serve-logs/serve_bcl.ndjson --slo p95_ms=50
     python -m repro profile --universe paint --flame flame.txt
-    python -m repro diff BENCH_old.json BENCH_new.json --markdown regression.md
+    python -m repro diff old.ndjson new.ndjson --markdown regression.md
     python -m repro report -o EVAL_REPORT.md --run-log runlog.ndjson
 """
 
@@ -174,40 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--universe", default="paint")
     dump.add_argument("-o", "--output", required=True, metavar="PATH")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned performance workload",
-        description="Run the pinned bench workload (paper speed queries, "
-                    "synthetic scaling universes, and a repeated-query "
-                    "cache measurement) and write a schema-versioned "
-                    "BENCH_<label>.json.  With two --compare paths, skip "
-                    "the run and just diff the files.  Exit 0 ok, 1 on a "
-                    "p95 regression over 20%, 2 on bad input.  See "
-                    "docs/PERFORMANCE.md.",
-    )
-    bench.add_argument("--label", default="local",
-                       help="label recorded in the document (default "
-                            "'local')")
-    bench.add_argument("-o", "--output", default=None, metavar="PATH",
-                       help="write the document here (default "
-                            "BENCH_<label>.json in the current directory)")
-    bench.add_argument("--quick", action="store_true",
-                       help="fewer repeats and smaller scaling universes "
-                            "(the CI smoke configuration)")
-    bench.add_argument("--compare", nargs="+", default=None,
-                       metavar="BENCH.json",
-                       help="one path: run and compare against it as the "
-                            "baseline; two paths: compare old vs. new "
-                            "without running")
-    bench.add_argument("--run-log", default=None, metavar="PATH",
-                       help="also write the structured NDJSON run log "
-                            "of the bench run")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the document and the "
-                            "run-log manifest (the bench workload is "
-                            "pinned; the seed stamps provenance for "
-                            "reproducibility tooling)")
-
     fuzz = sub.add_parser(
         "fuzz",
         help="rank-stability fuzzing with differential oracles",
@@ -339,10 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Replay a universe's golden battery from N worker "
                     "threads for a fixed duration and write a "
                     "schema-versioned BENCH_serve_<label>.json (p50/p95 "
-                    "latency, throughput, shed rate) that 'repro diff' "
-                    "and 'repro bench --compare' understand.  With no "
-                    "--url an in-process server is spawned on an "
-                    "ephemeral port.  Shed requests (tiny deadlines, "
+                    "latency, throughput, shed rate, the slowest request "
+                    "ids).  With no --url an in-process server is spawned "
+                    "on an ephemeral port.  Shed requests (tiny deadlines, "
                     "overload) are counted, not fatal.  Exit 0 on a "
                     "completed run, 1 when every request errored, 2 on "
                     "bad input.  See docs/SERVING.md.",
@@ -465,16 +429,16 @@ def _build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff",
         help="attribute the latency delta between two runs to phases",
-        description="Compare two run artifacts — BENCH_<label>.json "
-                    "documents or NDJSON run logs, in any combination — "
-                    "and attribute the latency delta to engine phases "
-                    "(parse / preflight / cache / root_pool / "
-                    "expand:<kind> / dedup / collect).  --markdown writes "
-                    "the regression-attribution report the CI perf gate "
-                    "uploads.  See docs/OBSERVABILITY.md.",
+        description="Compare two NDJSON run logs (repro report / fuzz "
+                    "--run-log, serve --run-log-dir) and attribute the "
+                    "latency delta to engine phases (parse / preflight / "
+                    "cache / root_pool / expand:<kind> / dedup / "
+                    "collect).  Any other document is refused with exit "
+                    "2.  --markdown also writes the comparison as a "
+                    "markdown report.  See docs/OBSERVABILITY.md.",
     )
-    diff.add_argument("old", metavar="OLD", help="baseline artifact")
-    diff.add_argument("new", metavar="NEW", help="candidate artifact")
+    diff.add_argument("old", metavar="OLD", help="baseline run log")
+    diff.add_argument("new", metavar="NEW", help="candidate run log")
     diff.add_argument("--markdown", default=None, metavar="PATH",
                       help="also write a markdown regression report")
 
@@ -905,70 +869,6 @@ def _run_slo(args: argparse.Namespace, write) -> int:
     return EXIT_OK if report["ok"] else 1
 
 
-def _run_bench(args: argparse.Namespace, write) -> int:
-    from .eval.bench import (
-        compare_bench,
-        load_bench,
-        render_bench,
-        run_bench,
-        save_bench,
-    )
-
-    compare = args.compare or []
-    if len(compare) > 2:
-        write("error: --compare takes one (baseline) or two (old new) paths")
-        return EXIT_USAGE
-
-    if len(compare) == 2:
-        # compare-only mode: no run, just gate new against old
-        try:
-            old = load_bench(compare[0])
-            new = load_bench(compare[1])
-        except (OSError, ValueError) as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
-        ok, lines = compare_bench(old, new)
-        for line in lines:
-            write(line)
-        return EXIT_OK if ok else 1
-
-    run_log = None
-    if args.run_log:
-        from .obs.runlog import RunLog
-
-        run_log = RunLog(args.label, seed=args.seed)
-    document = run_bench(label=args.label, quick=args.quick, log=write,
-                         run_log=run_log, seed=args.seed)
-    for line in render_bench(document):
-        write(line)
-    output = args.output or "BENCH_{}.json".format(args.label)
-    try:
-        save_bench(output, document)
-    except OSError as error:
-        write("error: {}".format(error))
-        return EXIT_USAGE
-    write("wrote {}".format(output))
-    if run_log is not None:
-        try:
-            run_log.write(args.run_log)
-        except OSError as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
-        write("wrote run log to {}".format(args.run_log))
-
-    if len(compare) == 1:
-        try:
-            baseline = load_bench(compare[0])
-        except (OSError, ValueError) as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
-        ok, lines = compare_bench(baseline, document)
-        for line in lines:
-            write(line)
-        return EXIT_OK if ok else 1
-    return EXIT_OK
-
-
 def _run_fuzz(args: argparse.Namespace, write) -> int:
     from .fuzz import FuzzConfig, run_fuzz
     from .fuzz.harness import render_report
@@ -1188,8 +1088,8 @@ def _run_pack(args: argparse.Namespace, write) -> int:
 
 
 def _run_loadtest(args: argparse.Namespace, write) -> int:
-    from .eval.bench import save_bench
     from .serve import render_loadgen, run_loadgen
+    from .serve.loadgen import save
 
     if args.universe not in Workspace.BUILTIN:
         write("error: unknown universe {!r}; choose one of: {}".format(
@@ -1229,7 +1129,7 @@ def _run_loadtest(args: argparse.Namespace, write) -> int:
         write(line)
     output = args.output or "BENCH_serve_{}.json".format(args.label)
     try:
-        save_bench(output, document)
+        save(output, document)
     except OSError as error:
         write("error: {}".format(error))
         return EXIT_USAGE
@@ -1369,8 +1269,6 @@ def main(argv: Optional[List[str]] = None, write=print) -> int:
         return _run_complete(args, write)
     if args.command == "lint":
         return _run_lint(args, write)
-    if args.command == "bench":
-        return _run_bench(args, write)
     if args.command == "fuzz":
         return _run_fuzz(args, write)
     if args.command == "serve":  # pragma: no cover - foreground loop

@@ -1,14 +1,13 @@
 """The single public facade of the ``repro`` package.
 
 Everything a library consumer needs is importable from here (and
-re-exported by ``repro`` itself): the six task-level functions —
+re-exported by ``repro`` itself): the task-level functions —
 
 * :func:`open_workspace` — a universe plus its engine,
 * :func:`complete` / :func:`complete_many` — run queries,
 * :func:`explain` — ranking attribution for a query,
 * :func:`lint` — static diagnostics,
 * :func:`impact` — "what would editing these types invalidate?",
-* :func:`bench` — the pinned performance workload,
 * :func:`profile` — deterministic self-time profile of traced queries,
 * :func:`diff_runs` — phase-level latency attribution between two runs,
 
@@ -379,18 +378,6 @@ def impact(
     return workspace.impact(full_names)
 
 
-def bench(label: str = "api", quick: bool = True, log=None,
-          run_log: Optional[RunLog] = None) -> dict:
-    """Run the pinned performance workload and return the
-    schema-versioned bench document (see ``docs/PERFORMANCE.md``).
-    Imported lazily — the bench harness pulls in the corpus layer."""
-    from .eval.bench import run_bench
-
-    return run_bench(label=label, quick=quick,
-                     log=log if log is not None else (lambda line: None),
-                     run_log=run_log)
-
-
 def fuzz(seed: int = 0, iterations: int = 20, chaos: bool = False,
          transforms: Optional[List[str]] = None,
          universes: Optional[List[str]] = None,
@@ -533,7 +520,6 @@ def profile(
 
 __all__ = [
     # facade functions
-    "bench",
     "build_pack",
     "complete",
     "complete_many",

@@ -8,9 +8,17 @@ second.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 from .experiments import ArgumentResult, LookupResult, MethodCallResult
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending sequence (0.0 when
+    empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def speed_summary(seconds: Iterable[float]) -> Dict[str, float]:
@@ -18,16 +26,11 @@ def speed_summary(seconds: Iterable[float]) -> Dict[str, float]:
     values = sorted(seconds)
     if not values:
         return {"count": 0.0}
-
-    def percentile(q: float) -> float:
-        index = min(len(values) - 1, int(q * len(values)))
-        return values[index]
-
     return {
         "count": float(len(values)),
-        "p50_ms": 1000.0 * percentile(0.50),
-        "p90_ms": 1000.0 * percentile(0.90),
-        "p99_ms": 1000.0 * percentile(0.99),
+        "p50_ms": 1000.0 * percentile(values, 0.50),
+        "p90_ms": 1000.0 * percentile(values, 0.90),
+        "p99_ms": 1000.0 * percentile(values, 0.99),
         "under_100ms": sum(1 for v in values if v < 0.1) / len(values),
         "under_500ms": sum(1 for v in values if v < 0.5) / len(values),
     }

@@ -35,8 +35,6 @@ Commands (everything else is treated as a partial expression)::
     :cache [clear|on|off]  cross-query cache: show hit/miss counters
                            with invalidation attribution, clear it, or
                            toggle it (docs/PERFORMANCE.md)
-    :bench <pe>            time a query cold vs. warm against the
-                           cross-query cache (5 repeats)
     :fuzz [iters] [seed]   rank-stability fuzzing against this universe:
                            seeded semantic-preserving transformations +
                            differential oracles (docs/FUZZING.md);
@@ -108,8 +106,6 @@ def _command(state: "_ReplState", line: str, write) -> bool:
             _impact(session, args, write)
         elif command == ":cache" and len(args) <= 1:
             _cache(session, args[0] if args else None, write)
-        elif command == ":bench" and args:
-            _bench(session, line.split(None, 1)[1], write)
         elif command == ":fuzz" and len(args) <= 2:
             _fuzz(session, args, write)
         elif command == ":types" and len(args) <= 1:
@@ -274,37 +270,6 @@ def _impact(session: CompletionSession, names, write) -> None:
     full_names = [workspace.resolve_type(name).full_name for name in names]
     for line in workspace.impact(full_names).render():
         write(line)
-
-
-def _bench(session: CompletionSession, source: str, write,
-           repeats: int = 5) -> None:
-    import time as _time
-
-    from ..lang.parser import ParseError, parse
-
-    context = session.context()
-    try:
-        pe = parse(source, context)
-    except ParseError as error:
-        write("parse error: {}".format(error))
-        return
-    engine = session.workspace.engine
-    timings = []
-    for _ in range(repeats):
-        started = _time.perf_counter()
-        outcome = engine.complete_query(
-            pe, context, n=session.n, abstypes=session.abstypes,
-            expected_type=session.expected_type, keyword=session.keyword,
-        )
-        timings.append((_time.perf_counter() - started) * 1000.0)
-    write("cold {:.2f} ms, warm best {:.2f} ms over {} runs "
-          "({} completions; last run {})".format(
-              timings[0], min(timings[1:]) if len(timings) > 1 else timings[0],
-              repeats, len(outcome.completions),
-              "cached" if outcome.cached else "uncached"))
-    stats = session.workspace.cache_stats()
-    if stats is not None and session.workspace.engine.config.enable_cache:
-        write("cache hit rate {:.1%}".format(stats["hit_rate"]))
 
 
 #: REPL workspace names of the builtin universes -> fuzzable keys

@@ -14,12 +14,12 @@ Three independent pieces (see ``docs/OBSERVABILITY.md``):
   distribution, truncation/preflight/cache rates), JSON-exportable.
 * :mod:`repro.obs.runlog` — the structured NDJSON run/event log
   (:class:`RunLog`): a manifest plus per-phase and per-query records
-  for a whole run (eval battery, corpus build, bench, batch).
+  for a whole run (eval battery, corpus build, fuzz run, batch).
 * :mod:`repro.obs.profile` — :class:`Profile`, the deterministic
   self-time profiler aggregating span trees across a run, with
   collapsed-stack flamegraph export.
 * :mod:`repro.obs.diff` — :func:`diff_runs`, phase-level latency
-  attribution between two run logs or bench documents.
+  attribution between two run logs.
 * :mod:`repro.obs.expo` — Prometheus text exposition (render, parse,
   validate) of :class:`Metrics` registries; what ``GET /v1/metrics``
   and ``repro stats --url`` speak.

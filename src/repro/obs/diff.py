@@ -1,32 +1,26 @@
-"""Trace/bench diffing: attribute a latency regression to a phase.
+"""Run-log diffing: attribute a latency regression to a phase.
 
-``diff_runs(old, new)`` takes two run artifacts — structured run logs
-(:mod:`repro.obs.runlog` records) or ``BENCH_*.json`` documents — and
-produces a :class:`RunDiff`: per-phase latency deltas over the span
-taxonomy (``parse`` / ``preflight`` / ``cache`` / ``root_pool`` /
+``diff_runs(old, new)`` takes two structured run logs
+(:mod:`repro.obs.runlog` record lists) and produces a
+:class:`RunDiff`: per-phase latency deltas over the span taxonomy
+(``parse`` / ``preflight`` / ``cache`` / ``root_pool`` /
 ``expand:<kind>`` / ``dedup`` / ``collect``), sorted worst-first, with
 the top regressed phase called out.  ``render_markdown`` turns that
-into the regression-attribution report the CI perf gate uploads, so a
-red gate says *which phase* regressed, not just that something did.
+into a regression-attribution report, so a slower run says *which
+phase* got slower, not just that something did.
 
-Inputs are duck-typed by shape, not imported types, keeping this module
-below both the engine and the eval layer:
-
-* a dict with ``format == "repro-bench"`` — phase totals are the sum of
-  each workload's ``phases`` map (workloads without one are noted; the
-  seed baseline predates phase profiles);
-* a list of run-log records (leading ``kind == "run"`` manifest) —
-  phase totals come from a :class:`~repro.obs.profile.Profile` over the
-  embedded span trees, query counts/latency from the query records;
-* a path or NDJSON/JSON text via :func:`load_run_artifact`, which
-  sniffs the two formats.
+A run log is a list of records with a leading ``kind == "run"``
+manifest: phase totals come from a :class:`~repro.obs.profile.Profile`
+over the embedded span trees, query counts/latency from the query
+records.  :func:`load_run_artifact` reads one from NDJSON and refuses
+anything else.  The module takes no engine or eval imports, so it stays
+below both layers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from .profile import profile_run_log
 
@@ -85,48 +79,18 @@ class RunDiff:
 # normalisation
 # ----------------------------------------------------------------------
 
-RunArtifact = Union[Dict[str, Any], List[Dict[str, Any]]]
+RunArtifact = List[Dict[str, Any]]
 
 
-def _is_bench(artifact: Any) -> bool:
-    return isinstance(artifact, dict) and artifact.get("format") == "repro-bench"
-
-
-def _is_run_log(artifact: Any) -> bool:
-    return (isinstance(artifact, list) and bool(artifact)
-            and isinstance(artifact[0], dict)
-            and artifact[0].get("kind") == "run")
-
-
-def _bench_summary(
-    document: Dict[str, Any],
+def _summarise(
+    records: RunArtifact,
 ) -> Tuple[str, Dict[str, float], float, int, List[str]]:
-    label = str(document.get("label", "bench"))
-    totals: Dict[str, float] = {}
-    total_ms = 0.0
-    queries = 0
-    unprofiled: List[str] = []
-    for workload in document.get("workloads", []):
-        total_ms += float(workload.get("p95_ms", 0.0))
-        queries += int(workload.get("queries", 0))
-        phases = workload.get("phases")
-        if not phases:
-            unprofiled.append(str(workload.get("name")))
-            continue
-        for name, value in phases.items():
-            totals[name] = totals.get(name, 0.0) + float(value)
-    notes = []
-    if unprofiled:
-        notes.append("bench {!r}: no phase profile for {}".format(
-            label, ", ".join(unprofiled)))
-    return label, totals, total_ms, queries, notes
-
-
-def _runlog_summary(
-    records: List[Dict[str, Any]],
-) -> Tuple[str, Dict[str, float], float, int, List[str]]:
-    manifest = records[0]
-    label = str(manifest.get("label", "run"))
+    if not (isinstance(records, list) and records
+            and isinstance(records[0], dict)
+            and records[0].get("kind") == "run"):
+        raise ValueError(
+            "not a run artifact: expected a repro-runlog record list")
+    label = str(records[0].get("label", "run"))
     totals = profile_run_log(records).phase_totals()
     queries = [r for r in records if r.get("kind") == "query"]
     total_ms = sum(float(r.get("elapsed_ms", 0.0)) for r in queries)
@@ -137,22 +101,8 @@ def _runlog_summary(
     return label, totals, total_ms, len(queries), notes
 
 
-def _summarise(
-    artifact: RunArtifact,
-) -> Tuple[str, Dict[str, float], float, int, List[str]]:
-    if _is_bench(artifact):
-        return _bench_summary(artifact)
-    if _is_run_log(artifact):
-        return _runlog_summary(artifact)
-    raise ValueError(
-        "not a run artifact: expected a repro-bench document or a "
-        "repro-runlog record list")
-
-
 def diff_runs(old: RunArtifact, new: RunArtifact) -> RunDiff:
-    """Phase-attributed latency diff of two run artifacts (each a bench
-    document or a run-log record list — mixing the two is allowed; the
-    phase taxonomy is shared)."""
+    """Phase-attributed latency diff of two run-log record lists."""
     old_label, old_phases, old_total, old_queries, old_notes = _summarise(old)
     new_label, new_phases, new_total, new_queries, new_notes = _summarise(new)
     notes = old_notes + new_notes
@@ -160,7 +110,7 @@ def diff_runs(old: RunArtifact, new: RunArtifact) -> RunDiff:
         # exactly one side has phase totals: a delta table would compare
         # every phase against a zero baseline and attribute the entire
         # total to whichever phase happens to be largest — say so
-        # instead, matching the bench gate's per-workload fallback
+        # instead
         bare = old_label if not old_phases else new_label
         notes.append(
             "no phase profile on {!r}; cannot attribute the latency "
@@ -185,47 +135,22 @@ def diff_runs(old: RunArtifact, new: RunArtifact) -> RunDiff:
     )
 
 
-def top_phase_delta(
-    old_phases: Optional[Dict[str, float]],
-    new_phases: Optional[Dict[str, float]],
-) -> Optional[PhaseDelta]:
-    """The worst phase between two raw phase maps (either may be
-    missing), the per-workload attribution ``compare_bench`` prints
-    under a regressed line.  None when attribution is impossible or no
-    phase got slower."""
-    if not old_phases or not new_phases:
-        return None
-    diff = diff_runs(
-        {"format": "repro-bench", "label": "old",
-         "workloads": [{"name": "w", "phases": old_phases}]},
-        {"format": "repro-bench", "label": "new",
-         "workloads": [{"name": "w", "phases": new_phases}]},
-    )
-    return diff.top_regression
-
-
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
 
 def parse_run_artifact(text: str) -> RunArtifact:
-    """Parse artifact text: a JSON bench document or NDJSON run log."""
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty run artifact")
-    try:
-        document = json.loads(stripped)
-    except json.JSONDecodeError:
-        document = None
-    if _is_bench(document):
-        return document
+    """Parse NDJSON run-log text into its records."""
     from .runlog import read_run_log
 
-    return read_run_log(text)
+    try:
+        return read_run_log(text)
+    except ValueError as error:
+        raise ValueError("expected an NDJSON run log: {}".format(error))
 
 
 def load_run_artifact(path: str) -> RunArtifact:
-    """Load a run artifact file, sniffing bench JSON vs. run-log NDJSON."""
+    """Load a run-log file."""
     with open(path) as handle:
         text = handle.read()
     try:
@@ -257,7 +182,7 @@ def render_text(diff: RunDiff) -> List[str]:
 
 
 def render_markdown(diff: RunDiff) -> str:
-    """The regression-attribution report CI uploads as an artifact."""
+    """The regression-attribution report (``repro diff --markdown``)."""
     out = ["# Regression attribution: {!r} vs {!r}".format(
         diff.old_label, diff.new_label), ""]
     out.append("| | old | new |")

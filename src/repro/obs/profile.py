@@ -2,7 +2,7 @@
 
 The :class:`~repro.obs.trace.Tracer` answers *where did this one query
 spend its time*; a :class:`Profile` aggregates many traces — a whole
-battery, eval run, or bench workload — into per-stack-path totals:
+battery, eval run, or run log — into per-stack-path totals:
 
 * **inclusive time** — the span's own wall extent (``duration_ms``),
   summed over every occurrence of the same stack path;

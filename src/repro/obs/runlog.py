@@ -1,14 +1,14 @@
 """Structured NDJSON run logs: the whole-run counterpart of a trace.
 
 A :class:`RunLog` records one *run* — an eval battery, a corpus build,
-a bench invocation, a ``complete_many`` batch — as newline-delimited
+a fuzz run, a ``complete_many`` batch — as newline-delimited
 JSON: a manifest record first (what produced the run: label, git SHA,
 engine config signature, universe versions, seed), then one record per
 event as the run proceeds:
 
 * ``{"kind": "run", ...}`` — the manifest (always the first record);
 * ``{"kind": "phase", ...}`` — a named, timed stretch of the run
-  (one experiment family, one bench workload, one corpus project);
+  (one experiment family, one corpus project);
 * ``{"kind": "query", ...}`` — one completed query: source, status,
   latency, steps, cache hit, and (when the query was traced) its full
   span tree embedded under ``spans``;

@@ -6,8 +6,8 @@ would otherwise recompute on every process start — the
 :class:`~repro.engine.index.ReachabilityIndex` walk, the whole-universe
 :class:`~repro.analysis.deps.DependencyGraph` (edges, lattice, closure
 memos, abstract-type partitions) — so ``load_pack`` answers the first
-query in milliseconds where a rebuild takes seconds (the ``coldstart/*``
-bench battery measures the ratio).
+query in milliseconds where a rebuild takes seconds (perfbench reports
+``pack.load_ms`` and ``pack.build_ms``).
 
 File format (``docs/ARTIFACTS.md``): exactly two ``\\n``-separated
 lines of UTF-8 JSON.

@@ -8,25 +8,32 @@ is configured.  With no ``url`` it spawns an in-process server first
 (the CI smoke path and the test fixture), so one call measures the
 whole stack.
 
-The result is a schema-versioned ``BENCH_serve_<label>.json`` in the
-standard bench format (``repro-bench`` v1): latency percentiles land in
-a ``serve/<universe>`` workload entry the existing ``repro diff`` /
-``compare_bench`` tooling already understands, and a ``serve`` section
-adds the service-level numbers — throughput, shed rate, per-worker
-request counts (docs/SERVING.md, docs/PERFORMANCE.md).
+The result is a schema-versioned ``BENCH_serve_<label>.json`` document,
+owned by this module (:func:`save`, :func:`load`, :func:`validate`).
+Its wire shape is a contract: ``"format":
+"repro-bench"``, ``"version": 1``, one ``serve/<universe>`` workload
+entry with nearest-rank p50/p95 latency and total steps, and a
+``serve`` section with the service-level numbers — throughput, shed
+rate, per-worker request counts, the latency histogram and the slowest
+request ids (docs/SERVING.md).
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..eval.battery import battery_for
-from ..eval.bench import VERSION, _FORMAT, _percentile
+from ..eval.speed import percentile
 from ..obs.expo import LATENCY_BOUNDS_MS
 from ..obs.metrics import Histogram
 from .client import ServeClient
+
+#: the document's wire identity
+FORMAT = "repro-bench"
+VERSION = 1
 
 #: outcome categories a worker tallies per request
 _OK, _SHED, _ERROR = "ok", "shed", "error"
@@ -132,7 +139,7 @@ def run_loadgen(
     log: Optional[Callable[[str], None]] = None,
     fault_plan: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Drive the load and return the BENCH document.
+    """Drive the load and return the loadtest document.
 
     With ``url=None`` an in-process server over ``universe`` is spawned
     on an ephemeral port (and torn down afterwards); ``run_log_dir``
@@ -209,7 +216,7 @@ def run_loadgen(
                 "latency_ms": round(latency_ms, 3)}
                for request_id, latency_ms in samples[:_SLOWEST_N]]
     document: Dict[str, Any] = {
-        "format": _FORMAT,
+        "format": FORMAT,
         "version": VERSION,
         "label": "serve_{}".format(label),
         "quick": False,
@@ -218,8 +225,8 @@ def run_loadgen(
             "name": "serve/{}".format(universe),
             "queries": ok,
             "repeats": 1,
-            "p50_ms": _percentile(latencies, 0.50),
-            "p95_ms": _percentile(latencies, 0.95),
+            "p50_ms": percentile(latencies, 0.50),
+            "p95_ms": percentile(latencies, 0.95),
             "steps": sum(stats.steps for stats in per_worker),
         }],
         "serve": {
@@ -283,3 +290,38 @@ def render_loadgen(document: Dict[str, Any]) -> List[str]:
             "{} ({:.1f} ms)".format(s["request_id"], s["latency_ms"])
             for s in slowest[:3])))
     return lines
+
+
+def validate(document: Any) -> Dict[str, Any]:
+    """Check a loadtest document's shape; raise ``ValueError``."""
+    if not isinstance(document, dict) or document.get("format") != FORMAT:
+        raise ValueError("not a loadtest document (format {!r})".format(
+            FORMAT))
+    if document.get("version") != VERSION:
+        raise ValueError(
+            "unsupported loadtest schema version {!r} (want {})".format(
+                document.get("version"), VERSION))
+    workloads = document.get("workloads")
+    if not isinstance(workloads, list):
+        raise ValueError("loadtest document has no workload list")
+    for workload in workloads:
+        for key in ("name", "p50_ms", "p95_ms", "steps"):
+            if key not in workload:
+                raise ValueError("workload entry missing {!r}".format(key))
+    return document
+
+
+def save(path: str, document: Dict[str, Any]) -> None:
+    validate(document)
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load(path: str) -> Dict[str, Any]:
+    with open(path) as handle:
+        try:
+            document = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ValueError("not valid JSON: {}".format(error))
+    return validate(document)

@@ -104,6 +104,20 @@ TINY_SPEC = SynthesisSpec(
 )
 
 
+def scaling_spec(size: int) -> SynthesisSpec:
+    """The pinned synthetic ``scaling/<size>`` universe: ``size``
+    classes, one client class, a fixed seed."""
+    return SynthesisSpec(
+        name="scale{}".format(size),
+        seed=4242,
+        namespace_root="Scale",
+        nouns=["Alpha", "Beta", "Gamma", "Delta"],
+        num_classes=size,
+        num_helper_classes=max(2, size // 5),
+        num_client_classes=1,
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_project():
     """A small deterministic synthetic project for end-to-end tests."""

@@ -197,12 +197,27 @@ class TestFineInvalidation:
         assert stats["entries_preserved"] >= before["root_pool_groups"] - 1
 
 
+def _mutation_target(ts, context):
+    """The lexicographically first type with members that is neither the
+    context's ``this`` type nor a local's type: the "edit somewhere else,
+    keep the warm cache" case fine-grained invalidation exists for."""
+    excluded = {typedef.full_name for typedef in context.locals.values()}
+    if context.this_type is not None:
+        excluded.add(context.this_type.full_name)
+    candidates = sorted(ts.all_types(), key=lambda t: t.full_name)
+    for typedef in candidates:
+        if typedef.full_name not in excluded and (
+                typedef.methods or typedef.fields):
+            return typedef
+    return candidates[0]
+
+
 class TestScalingPreservation:
     def test_single_type_edit_preserves_80_percent_on_scale90(self):
         from repro.corpus import synthesize_project
-        from repro.eval.bench import _mutation_target, _scaling_spec
+        from tests.conftest import scaling_spec
 
-        project = synthesize_project(_scaling_spec(90))
+        project = synthesize_project(scaling_spec(90))
         ts = project.ts
         engine = CompletionEngine(ts)
         context = project.impls[0].context(ts)

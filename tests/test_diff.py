@@ -1,37 +1,21 @@
 """The run-diff engine: phase-level regression attribution.
 
-``diff_runs`` consumes either artifact shape (bench documents, run-log
-record lists, or a mix), and ``compare_bench`` — the CI perf gate —
-must name the phase with the largest latency delta when a workload
-regresses (the ISSUE's acceptance criterion).
+``diff_runs`` consumes two run logs (record lists with a leading
+manifest) and must name the phase with the largest latency delta;
+``repro diff`` refuses any other document with exit 2.
 """
 
 import json
 
 import pytest
 
-from repro.eval.bench import compare_bench
 from repro.obs import diff_runs, render_markdown
 from repro.obs.diff import (
     PhaseDelta,
     load_run_artifact,
     parse_run_artifact,
     render_text,
-    top_phase_delta,
 )
-
-
-def bench_doc(label, p95, phases=None):
-    workload = {
-        "name": "paper/paint", "queries": 5, "repeats": 3,
-        "p50_ms": p95 / 2.0, "p95_ms": p95, "steps": 100,
-    }
-    if phases is not None:
-        workload["phases"] = phases
-    return {
-        "format": "repro-bench", "version": 1, "label": label,
-        "quick": True, "workloads": [workload],
-    }
 
 
 def run_log_records(label, spans=None):
@@ -49,24 +33,27 @@ def run_log_records(label, spans=None):
     return [manifest, query]
 
 
-def spans(expand_ms, dedup_ms):
-    return [
-        {"kind": "span", "span": 1, "parent": None, "name": "query",
-         "start_ms": 0.0, "end_ms": expand_ms + dedup_ms,
-         "duration_ms": expand_ms + dedup_ms, "counters": {}},
-        {"kind": "span", "span": 2, "parent": 1, "name": "expand:hole",
-         "start_ms": 0.0, "end_ms": expand_ms, "duration_ms": expand_ms,
-         "counters": {}},
-        {"kind": "span", "span": 3, "parent": 1, "name": "dedup",
-         "start_ms": expand_ms, "end_ms": expand_ms + dedup_ms,
-         "duration_ms": dedup_ms, "counters": {}},
-    ]
+def spans(phases):
+    """One traced query: a ``query`` root with one child span per phase
+    (name -> ms), laid end to end."""
+    total = sum(phases.values())
+    records = [{"kind": "span", "span": 1, "parent": None, "name": "query",
+                "start_ms": 0.0, "end_ms": total, "duration_ms": total,
+                "counters": {}}]
+    start = 0.0
+    for number, (name, ms) in enumerate(phases.items(), start=2):
+        records.append({"kind": "span", "span": number, "parent": 1,
+                        "name": name, "start_ms": start,
+                        "end_ms": start + ms, "duration_ms": ms,
+                        "counters": {}})
+        start += ms
+    return records
 
 
 class TestDiffRuns:
-    def test_bench_vs_bench_attributes_worst_phase(self):
-        old = bench_doc("seed", 4.0, {"expand:hole": 1.0, "dedup": 0.5})
-        new = bench_doc("pr", 9.0, {"expand:hole": 3.5, "dedup": 0.6})
+    def test_runlog_attributes_worst_phase(self):
+        old = run_log_records("seed", spans({"expand:hole": 1.0, "dedup": 0.5}))
+        new = run_log_records("pr", spans({"expand:hole": 3.5, "dedup": 0.6}))
         diff = diff_runs(old, new)
         assert diff.old_label == "seed" and diff.new_label == "pr"
         top = diff.top_regression
@@ -76,119 +63,57 @@ class TestDiffRuns:
         assert "expand:hole" in diff.summary()
 
     def test_improvement_reports_no_regression(self):
-        old = bench_doc("seed", 9.0, {"dedup": 3.0})
-        new = bench_doc("pr", 4.0, {"dedup": 1.0})
+        old = run_log_records("seed", spans({"dedup": 3.0}))
+        new = run_log_records("pr", spans({"dedup": 1.0}))
         diff = diff_runs(old, new)
         assert diff.top_regression is None
         assert diff.summary() == "no phase regressed"
 
     def test_runlog_vs_runlog_uses_embedded_spans(self):
-        old = run_log_records("old", spans(2.0, 1.0))
-        new = run_log_records("new", spans(2.0, 4.0))
+        old = run_log_records("old", spans({"expand:hole": 2.0, "dedup": 1.0}))
+        new = run_log_records("new", spans({"expand:hole": 2.0, "dedup": 4.0}))
         diff = diff_runs(old, new)
         assert diff.old_queries == diff.new_queries == 1
         assert diff.top_regression.name == "dedup"
         assert diff.top_regression.delta_ms == pytest.approx(3.0)
-
-    def test_mixed_artifacts_share_the_phase_taxonomy(self):
-        old = bench_doc("seed", 4.0, {"dedup": 1.0})
-        new = run_log_records("new", spans(0.0, 2.5))
-        diff = diff_runs(old, new)
-        assert diff.top_regression.name == "dedup"
 
     def test_untraced_run_log_is_noted(self):
         diff = diff_runs(run_log_records("a"), run_log_records("b"))
         assert diff.phases == []
         assert any("no span trees" in note for note in diff.notes)
 
-    def test_missing_bench_phases_are_noted(self):
-        diff = diff_runs(bench_doc("seed", 4.0),
-                         bench_doc("pr", 5.0, {"dedup": 1.0}))
-        assert any("no phase profile" in note for note in diff.notes)
-
     def test_one_sided_phases_cannot_attribute(self):
         # one side has a phase profile, the other has none: a delta table
         # would be all zero baselines, attributing the entire total to
-        # the largest phase — say "cannot attribute" instead, matching
-        # the bench-gate fallback
-        diff = diff_runs(bench_doc("seed", 4.0),
-                         bench_doc("pr", 5.0, {"dedup": 1.0}))
+        # the largest phase — say "cannot attribute" instead
+        diff = diff_runs(run_log_records("seed"),
+                         run_log_records("pr", spans({"dedup": 1.0})))
         assert diff.phases == []
         assert diff.top_regression is None
         assert any("cannot attribute" in note for note in diff.notes)
 
     def test_one_sided_runlog_cannot_attribute(self):
-        # untraced run log vs. phase-profiled bench doc, both directions
-        for old, new in (
-            (run_log_records("old"), bench_doc("pr", 5.0, {"dedup": 1.0})),
-            (bench_doc("seed", 4.0, {"dedup": 1.0}), run_log_records("new")),
-        ):
+        # untraced run log vs. traced run log, both directions
+        traced = run_log_records("traced", spans({"dedup": 1.0}))
+        for old, new in ((run_log_records("old"), traced),
+                         (traced, run_log_records("new"))):
             diff = diff_runs(old, new)
             assert diff.phases == []
             assert any("cannot attribute" in note for note in diff.notes)
 
     def test_rejects_unknown_artifact(self):
-        with pytest.raises(ValueError, match="not a run artifact"):
-            diff_runs({"format": "something-else"}, bench_doc("x", 1.0))
-
-
-class TestTopPhaseDelta:
-    def test_none_when_either_side_lacks_phases(self):
-        assert top_phase_delta(None, {"dedup": 1.0}) is None
-        assert top_phase_delta({"dedup": 1.0}, {}) is None
-
-    def test_none_when_nothing_got_slower(self):
-        assert top_phase_delta({"dedup": 2.0}, {"dedup": 1.0}) is None
-
-    def test_picks_largest_positive_delta(self):
-        top = top_phase_delta(
-            {"dedup": 1.0, "collect": 1.0},
-            {"dedup": 1.5, "collect": 4.0},
-        )
-        assert top.name == "collect"
-        assert top.delta_ms == pytest.approx(3.0)
+        loadtest = {"format": "repro-bench", "version": 1, "label": "x",
+                    "workloads": []}
+        for other in ({"format": "something-else"}, loadtest):
+            with pytest.raises(ValueError, match="not a run artifact"):
+                diff_runs(other, run_log_records("x"))
 
     def test_phase_delta_ratio_handles_zero_baseline(self):
         assert PhaseDelta("x", 0.0, 2.0).ratio == 0.0
         assert PhaseDelta("x", 2.0, 3.0).ratio == pytest.approx(0.5)
 
 
-class TestCompareBenchAttribution:
-    """``repro bench --compare`` failure output names the worst phase."""
-
-    def test_regression_lines_name_the_phase(self):
-        old = bench_doc("seed", 2.0, {"expand:hole": 0.5, "dedup": 0.5})
-        new = bench_doc("pr", 10.0, {"expand:hole": 6.0, "dedup": 0.6})
-        ok, lines = compare_bench(old, new)
-        assert not ok
-        text = "\n".join(lines)
-        assert "REGRESSION" in text
-        assert "top regressed phase: expand:hole" in text
-        # the final verdict line carries the attribution too
-        assert "top regressed phase: expand:hole (+5.50 ms)" in lines[-1]
-
-    def test_attribution_degrades_without_baseline_phases(self):
-        # the seed baseline predates phase profiles: the gate still
-        # fires, with an explicit cannot-attribute note
-        old = bench_doc("seed", 2.0)
-        new = bench_doc("pr", 10.0, {"expand:hole": 6.0})
-        ok, lines = compare_bench(old, new)
-        assert not ok
-        assert any("cannot attribute" in line for line in lines)
-
-    def test_no_regression_keeps_verdict_clean(self):
-        old = bench_doc("seed", 2.0, {"dedup": 0.5})
-        new = bench_doc("pr", 2.1, {"dedup": 0.6})
-        ok, lines = compare_bench(old, new)
-        assert ok
-        assert "top regressed phase" not in "\n".join(lines)
-
-
 class TestArtifactLoading:
-    def test_parse_sniffs_bench_json(self):
-        artifact = parse_run_artifact(json.dumps(bench_doc("x", 1.0)))
-        assert artifact["format"] == "repro-bench"
-
     def test_parse_sniffs_runlog_ndjson(self):
         text = "\n".join(
             json.dumps(record) for record in run_log_records("x")) + "\n"
@@ -210,8 +135,8 @@ class TestArtifactLoading:
 
 class TestRendering:
     def test_text_and_markdown_agree_on_the_top_phase(self):
-        old = bench_doc("seed", 4.0, {"expand:hole": 1.0})
-        new = bench_doc("pr", 9.0, {"expand:hole": 3.0})
+        old = run_log_records("seed", spans({"expand:hole": 1.0}))
+        new = run_log_records("pr", spans({"expand:hole": 3.0}))
         diff = diff_runs(old, new)
         text = "\n".join(render_text(diff))
         markdown = render_markdown(diff)
@@ -220,7 +145,23 @@ class TestRendering:
         assert "## Phase deltas (worst first)" in markdown
 
     def test_markdown_growth_is_na_for_new_phases(self):
-        diff = diff_runs(bench_doc("seed", 4.0, {"dedup": 1.0}),
-                         bench_doc("pr", 5.0, {"dedup": 1.2, "parse": 0.5}))
+        diff = diff_runs(
+            run_log_records("seed", spans({"dedup": 1.0})),
+            run_log_records("pr", spans({"dedup": 1.2, "parse": 0.5})))
         markdown = render_markdown(diff)
         assert "| `parse` | 0.00 | 0.50 | +0.50 | n/a |" in markdown
+
+
+class TestCli:
+    def test_loadtest_document_is_refused(self, tmp_path):
+        from repro.__main__ import main
+        from repro.serve.loadgen import FORMAT, VERSION, save
+
+        path = str(tmp_path / "BENCH_serve_x.json")
+        save(path, {"format": FORMAT, "version": VERSION,
+                    "label": "serve_x", "workloads": [
+                        {"name": "serve/bcl", "p50_ms": 1.0,
+                         "p95_ms": 2.0, "steps": 3}]})
+        lines = []
+        assert main(["diff", path, path], write=lines.append) == 2
+        assert any("run log" in line for line in lines), lines

@@ -336,12 +336,3 @@ class TestSurfaces:
         assert len(report.records) == 2
         assert {r["universe"] for r in report.records} == {"geometry"}
 
-    def test_bench_seed_recorded(self, tmp_path):
-        from repro.eval.bench import run_bench
-        from repro.obs.runlog import RunLog
-
-        log = RunLog("bench-test")
-        document = run_bench(label="t", quick=True, run_log=log, seed=123)
-        assert document["seed"] == 123
-        manifest = json.loads(log.to_ndjson().splitlines()[0])
-        assert manifest["seed"] == 123

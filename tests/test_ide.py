@@ -307,19 +307,6 @@ class TestRepl:
         _session, out = self.drive([":cache purge"])
         assert "usage: :cache" in out
 
-    def test_bench_reports_cold_and_warm(self):
-        _session, out = self.drive([
-            ":let img Document",
-            ":bench ?({img})",
-        ])
-        assert "cold" in out
-        assert "warm best" in out
-        assert "hit rate" in out
-
-    def test_bench_parse_error(self):
-        _session, out = self.drive([":bench (("])
-        assert "parse error" in out
-
 
 class TestReplLoadEnter:
     SOURCE = """

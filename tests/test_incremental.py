@@ -60,9 +60,9 @@ def _pristine(universe):
     if universe not in _PRISTINE:
         if universe == "scaling/90":
             from repro.corpus import synthesize_project
-            from repro.eval.bench import _scaling_spec
+            from tests.conftest import scaling_spec
 
-            ts = synthesize_project(_scaling_spec(90)).ts
+            ts = synthesize_project(scaling_spec(90)).ts
         else:
             ts = Workspace.builtin(universe).ts
         _PRISTINE[universe] = pickle.dumps(ts, pickle.HIGHEST_PROTOCOL)

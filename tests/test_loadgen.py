@@ -1,22 +1,22 @@
 """Load-generator unit tests against an in-process server fixture.
 
-Pins the harness contract from ISSUE/ROADMAP: worker fan-out honours
-``n_workers``, the emitted document is schema-valid ``repro-bench`` v1
-that round-trips the existing ``repro diff`` tooling, and a tiny
-``deadline_ms`` produces a nonzero shed rate **without failing the
-run** — shedding is a measured outcome, not an error.
+Pins the harness contract: worker fan-out honours ``n_workers``, the
+emitted document keeps its ``repro-bench`` v1 wire shape and survives
+``save`` → ``load``, a malformed document read back from disk is
+refused, and a tiny ``deadline_ms`` produces a nonzero shed rate
+**without failing the run** — shedding is a measured outcome, not an
+error.
 """
 
+import copy
 import io
 import json
 
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.eval.bench import load_bench, save_bench, validate_bench
-from repro.obs import diff_runs
-from repro.obs.diff import load_run_artifact, render_text
 from repro.serve import render_loadgen, run_loadgen
+from repro.serve.loadgen import VERSION, load, save, validate
 
 UNIVERSE = "bcl"
 
@@ -55,17 +55,43 @@ class TestFanOut:
 
 class TestBenchContract:
     def test_document_is_schema_valid(self, document):
-        assert validate_bench(document) is document
+        assert validate(document) is document
+        assert (document["format"], document["version"]) == \
+            ("repro-bench", 1)
 
     def test_round_trips_save_load_and_diff(self, document, tmp_path):
         path = tmp_path / "BENCH_serve_unit.json"
-        save_bench(str(path), document)
-        loaded = load_bench(str(path))
+        save(str(path), document)
+        loaded = load(str(path))
         assert loaded["label"] == "serve_unit"
-        artifact = load_run_artifact(str(path))
-        diff = diff_runs(artifact, artifact)
-        assert diff.old_label == diff.new_label == "serve_unit"
-        assert render_text(diff)
+        assert loaded == json.loads(json.dumps(document))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("format"),
+        lambda d: d.update(format="something-else"),
+        lambda d: d.update(version=VERSION + 1),
+        lambda d: d.pop("workloads"),
+        lambda d: d.update(workloads="not-a-list"),
+        lambda d: d["workloads"][0].pop("p95_ms"),
+    ], ids=["no-format", "wrong-format", "unknown-version", "no-workloads",
+            "workloads-not-a-list", "entry-missing-p95"])
+    def test_validate_rejects_malformed_documents(self, document, mutate):
+        broken = copy.deepcopy(document)
+        mutate(broken)
+        with pytest.raises(ValueError):
+            validate(broken)
+
+    def test_load_rejects_non_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load(str(path))
+
+    def test_load_rejects_wrong_format(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"format": "repro-results"}))
+        with pytest.raises(ValueError, match="not a loadtest document"):
+            load(str(path))
 
     def test_render_is_human_readable(self, document):
         lines = render_loadgen(document)
@@ -84,7 +110,7 @@ class TestDeadlineShedding:
         assert serve["shed_rate"] > 0
         assert serve["errors"] == 0, \
             "a shed is a structured outcome, never an error"
-        validate_bench(document)
+        validate(document)
 
 
 class TestCorrelationAndHistogram:
@@ -135,7 +161,7 @@ class TestChaosThroughServe:
                       "namespaces", "matching_name"],
             "times": [1, 2, 3, None],
         }
-        validate_bench(document)
+        validate(document)
 
     def test_chaos_run_log_validates_and_burns_slo(self, chaos_run):
         from repro.api import slo_report
@@ -190,8 +216,7 @@ class TestCliSurface:
             "--duration", "0.5", "--label", "cli", "-o", str(output)])
         assert code == 0, text
         assert "wrote {}".format(output) in text
-        document = json.loads(output.read_text())
-        validate_bench(document)
+        document = load(str(output))
         assert document["serve"]["n_workers"] == 2
 
     def test_loadtest_usage_errors(self, tmp_path):

@@ -2,11 +2,12 @@
 
 Four guarantees pinned here:
 
-* **Round-trips** — for every builtin universe and for fuzz-transformed
-  variants of it, pack → load reproduces the universe fingerprint, the
-  golden top-10 of the battery queries, and identical dependency-graph
-  stats (modulo ``built_version``, which counts load-time
-  registrations);
+* **Round-trips** — for every builtin universe, the pinned synthetic
+  ``scaling/90`` universe and fuzz-transformed variants, pack → load
+  reproduces the universe fingerprint, the top-10 of the battery
+  queries (for ``scaling/90``, its ``?({a, b})`` query) without
+  rebuilding the method index, and identical dependency-graph stats
+  (modulo ``built_version``, which counts load-time registrations);
 * **Integrity** — truncation and bit-flips fail with the stable
   ``pack_corrupt`` code; a body that verifies byte-wise but hashes to a
   different universe than recorded (or than the caller pinned with
@@ -20,6 +21,7 @@ Four guarantees pinned here:
   through one signature, and the old scattered constructors warn.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -28,6 +30,7 @@ import warnings
 import pytest
 
 from repro.api import build_pack, load_pack, open_workspace
+from repro.corpus import synthesize_project
 from repro.errors import (
     ERROR_TABLE,
     PackCorruptError,
@@ -37,9 +40,11 @@ from repro.errors import (
     http_status_for,
 )
 from repro.eval.battery import battery_for
+from repro.ide.session import CompletionSession
 from repro.ide.workspace import Workspace
 from repro.pack import inspect_pack, verify_pack
 from repro.serialize import dump_type_system, load_type_system
+from tests.conftest import scaling_spec
 
 UNIVERSES = ("paint", "geometry", "bcl")
 
@@ -51,8 +56,23 @@ FUZZ_PLANS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def scaling_project():
+    return synthesize_project(scaling_spec(90))
+
+
 def battery_top10(workspace, universe):
-    """Suggestion texts for every battery query of ``universe``."""
+    """Suggestion texts for every battery query of ``universe``; for
+    ``scaling/90``, the ``?({a, b})`` query over its client's first two
+    locals."""
+    if universe == "scaling/90":
+        project = scaling_project()
+        scope = list(project.impls[0].context(project.ts).locals.items())
+        session = CompletionSession(workspace)
+        for name, typedef in scope[:2]:
+            session.declare(name, typedef.full_name)
+        query = "?({{{}}})".format(", ".join(name for name, _ in scope[:2]))
+        return {query: [s.text for s in session.complete(query).suggestions]}
     session = battery_for(universe).session(workspace)
     return {
         query: [s.text for s in session.complete(query).suggestions]
@@ -72,17 +92,22 @@ def universe(request):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("universe", UNIVERSES + ("scaling/90",))
     def test_builtin_round_trips(self, universe, tmp_path):
-        original = Workspace.builtin(universe)
-        path = str(tmp_path / "{}.pack".format(universe))
+        original = (Workspace(scaling_project().ts, name="scale90")
+                    if universe == "scaling/90"
+                    else Workspace.builtin(universe))
+        path = str(tmp_path / "u.pack")
         header = build_pack(original, path)
         assert header["meta"]["fingerprint"] == original.ts.fingerprint()
 
         loaded = load_pack(path)
         assert loaded.name == original.name
         assert loaded.ts.fingerprint() == original.ts.fingerprint()
-        assert battery_top10(loaded, universe) == \
-            battery_top10(original, universe)
+        top10 = battery_top10(loaded, universe)
+        assert all(top10.values())
+        assert top10 == battery_top10(original, universe)
+        assert loaded.engine.index.rebuilds == 0
         assert stats_sans_version(loaded) == stats_sans_version(original)
 
     def test_type_identity_round_trips(self, universe, tmp_path):
@@ -470,15 +495,3 @@ class TestServeFromPack:
                 assert body["suggestions"]
         finally:
             handle.stop()
-
-    def test_coldstart_bench_section_shape(self, tmp_path):
-        from repro.eval.bench import _coldstart_workloads
-
-        workloads, summary = _coldstart_workloads([30], 2)
-        [entry] = workloads
-        assert entry["name"] == "coldstart/30"
-        assert {"p50_ms", "p95_ms", "steps"} <= set(entry)
-        [cold] = summary
-        assert cold["identical_top10"] is True
-        assert cold["speedup"] > 0
-        assert cold["pack_bytes"] > 0
