@@ -1,46 +1,27 @@
-"""BENCH_*.json round-trips, schema validation and compare gating.
+"""BENCH_*.json documents round-trip through loadgen's save/load.
 
-The bench harness (``repro bench``, docs/PERFORMANCE.md) persists a
-schema-versioned document; these tests pin the save/load contract, the
-regression-gate arithmetic, and the CLI exit codes 0 (ok) /
-1 (regression) / 2 (bad input).
+The loadtest document (``repro loadtest``, docs/SERVING.md) keeps the
+``repro-bench`` v1 wire shape. These tests pin that shape on a
+hand-written document, without spawning a server: a valid document is
+accepted as is and survives ``save`` → ``load`` unchanged.
 """
 
-import json
-
-import pytest
-
-from repro.eval.bench import (
-    FLOOR_MS,
-    THRESHOLD,
-    VERSION,
-    compare_bench,
-    load_bench,
-    render_bench,
-    save_bench,
-    validate_bench,
-)
+from repro.serve.loadgen import FORMAT, VERSION, load, save, validate
 
 
-def _document(label="base", p95s=(10.0, 4.0)):
+def _document(label="base"):
     return {
-        "format": "repro-bench",
+        "format": FORMAT,
         "version": VERSION,
         "label": label,
-        "quick": True,
         "workloads": [
-            {"name": "paper/paint", "queries": 5, "repeats": 3,
-             "p50_ms": p95s[0] / 2.0, "p95_ms": p95s[0], "steps": 1000,
-             "cache_hit_rate": 0.25},
-            {"name": "scaling/10", "queries": 1, "repeats": 3,
-             "p50_ms": p95s[1] / 2.0, "p95_ms": p95s[1], "steps": 11},
+            {"name": "serve/bcl", "queries": 40, "p50_ms": 2.5,
+             "p95_ms": 9.0, "steps": 1000},
+            {"name": "serve/paint", "queries": 12, "p50_ms": 4.0,
+             "p95_ms": 11.5, "steps": 0},
         ],
-        "repeated": {
-            "workload": "paper/paint", "repeats": 3,
-            "cold_ms": 12.0, "warm_ms": 1.0,
-            "cold_steps": 4000, "warm_steps": 400,
-            "speedup": 12.0, "hit_rate": 0.4,
-        },
+        "serve": {"n_workers": 2, "requests": 52, "ok": 52, "shed": 0,
+                  "errors": 0},
     }
 
 
@@ -48,148 +29,9 @@ class TestRoundTrip:
     def test_save_load_round_trips(self, tmp_path):
         path = str(tmp_path / "BENCH_x.json")
         document = _document()
-        save_bench(path, document)
-        assert load_bench(path) == document
+        save(path, document)
+        assert load(path) == document
 
     def test_validate_accepts_a_real_document(self):
-        assert validate_bench(_document()) is not None
-
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("format"),
-        lambda d: d.update(format="something-else"),
-        lambda d: d.update(version=VERSION + 1),
-        lambda d: d.pop("workloads"),
-        lambda d: d.update(workloads="not-a-list"),
-        lambda d: d["workloads"][0].pop("p95_ms"),
-    ])
-    def test_validate_rejects_malformed_documents(self, mutate):
         document = _document()
-        mutate(document)
-        with pytest.raises(ValueError):
-            validate_bench(document)
-
-    def test_load_rejects_non_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_bench(str(path))
-
-    def test_load_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "repro-results"}))
-        with pytest.raises(ValueError):
-            load_bench(str(path))
-
-    def test_render_mentions_every_workload(self):
-        text = "\n".join(render_bench(_document()))
-        assert "paper/paint" in text
-        assert "scaling/10" in text
-        assert "speedup" in text
-
-
-class TestCompare:
-    def test_identical_documents_pass(self):
-        ok, lines = compare_bench(_document(), _document(label="new"))
-        assert ok
-        assert any("ok" in line for line in lines)
-
-    def test_large_regression_fails(self):
-        slow = _document(label="new", p95s=(10.0 * 2.0, 4.0))
-        ok, lines = compare_bench(_document(), slow)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_regression_needs_both_ratio_and_floor(self):
-        # +50% but only +0.5 ms absolute: under the floor, not a failure
-        tiny = _document(p95s=(10.0, 1.0))
-        slower = _document(label="new", p95s=(10.0, 1.5))
-        ok, _lines = compare_bench(tiny, slower)
-        assert ok
-
-    def test_threshold_boundary_is_exclusive(self):
-        # exactly +threshold is not a regression; just over it is
-        at_bar = _document(label="new", p95s=(10.0 * (1.0 + THRESHOLD), 4.0))
-        ok, _ = compare_bench(_document(), at_bar)
-        assert ok
-        over = _document(
-            label="new", p95s=(10.0 * (1.0 + THRESHOLD) + FLOOR_MS, 4.0))
-        ok, _ = compare_bench(_document(), over)
-        assert not ok
-
-    def test_new_and_dropped_workloads_do_not_fail(self):
-        old = _document()
-        new = _document(label="new")
-        new["workloads"].append(dict(new["workloads"][1],
-                                     name="scaling/90"))
-        del new["workloads"][0]
-        ok, lines = compare_bench(old, new)
-        assert ok
-        text = "\n".join(lines)
-        assert "no baseline" in text
-        assert "dropped" in text
-
-    def test_improvements_pass(self):
-        fast = _document(label="new", p95s=(1.0, 0.5))
-        ok, _ = compare_bench(_document(), fast)
-        assert ok
-
-
-class TestCliExitCodes:
-    def _main(self, argv, lines):
-        from repro.__main__ import main
-
-        return main(argv, write=lines.append)
-
-    def test_compare_ok_exits_zero(self, tmp_path):
-        old = str(tmp_path / "old.json")
-        new = str(tmp_path / "new.json")
-        save_bench(old, _document())
-        save_bench(new, _document(label="new"))
-        lines = []
-        assert self._main(["bench", "--compare", old, new], lines) == 0
-
-    def test_compare_regression_exits_one(self, tmp_path):
-        old = str(tmp_path / "old.json")
-        new = str(tmp_path / "new.json")
-        save_bench(old, _document())
-        save_bench(new, _document(label="new", p95s=(25.0, 4.0)))
-        lines = []
-        assert self._main(["bench", "--compare", old, new], lines) == 1
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_compare_bad_input_exits_two(self, tmp_path):
-        old = tmp_path / "old.json"
-        old.write_text("{not json")
-        new = str(tmp_path / "new.json")
-        save_bench(new, _document())
-        lines = []
-        assert self._main(
-            ["bench", "--compare", str(old), new], lines) == 2
-        assert any("error" in line for line in lines)
-
-    def test_compare_missing_file_exits_two(self, tmp_path):
-        lines = []
-        code = self._main(
-            ["bench", "--compare", str(tmp_path / "none.json"),
-             str(tmp_path / "none2.json")], lines)
-        assert code == 2
-
-    def test_compare_three_paths_exits_two(self, tmp_path):
-        lines = []
-        code = self._main(
-            ["bench", "--compare", "a.json", "b.json", "c.json"], lines)
-        assert code == 2
-
-
-def test_committed_seed_baseline_is_valid():
-    """The baseline the CI perf-smoke job gates against must load."""
-    import pathlib
-
-    path = (pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "baseline" / "BENCH_seed.json")
-    document = load_bench(str(path))
-    assert document["label"] == "seed"
-    assert document["quick"] is True
-    names = {w["name"] for w in document["workloads"]}
-    assert {"paper/paint", "paper/geometry", "paper/bcl"} <= names
-    assert document["repeated"]["speedup"] >= 2.0
+        assert validate(document) is document
