@@ -124,8 +124,6 @@ from .lang import (
 from .obs import (
     Histogram,
     Metrics,
-    NullTracer,
-    NULL_TRACER,
     PhaseDelta,
     Profile,
     RunDiff,
@@ -618,8 +616,6 @@ __all__ = [
     # observability
     "Histogram",
     "Metrics",
-    "NULL_TRACER",
-    "NullTracer",
     "PhaseDelta",
     "Profile",
     "RunDiff",

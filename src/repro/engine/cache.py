@@ -490,8 +490,10 @@ class CompletionCache:
             }
 
     def snapshot(self) -> Dict[str, float]:
-        """Stats plus current sizes, for ``:cache`` and the bench
-        harness."""
+        """Stats plus current sizes: read by the REPL's ``:cache``,
+        ``CompletionEngine.cache_stats`` (``repro stats``, the serve
+        pool's workspace stats, perfbench's cache layer) and the run-log
+        manifest's cache attribution."""
         with self._lock:
             data = self.stats.to_dict()
             data["streams"] = float(len(self._streams))

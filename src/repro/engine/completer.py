@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import islice, product
 from typing import (
@@ -131,19 +131,12 @@ class EngineConfig:
     #: :mod:`repro.engine.cache` and docs/PERFORMANCE.md); budgeted and
     #: oracle-backed queries bypass the cache automatically
     enable_cache: bool = True
-    #: trace every query with a :class:`~repro.obs.trace.Tracer` (span
-    #: timings + counters attached as ``QueryOutcome.trace``); off by
-    #: default — disabled tracing costs nothing on the query path.
-    #: Never part of the cache key: tracing cannot change results.
-    trace: bool = False
 
     @cached_property
     def _signature(self) -> tuple:
         """The tunables as a hashable cache-key component, computed once
-        per config value.  ``trace`` is normalised out: tracing observes
-        a query without changing its results, so traced and untraced
-        queries must share cache entries."""
-        return astuple(replace(self, trace=False))
+        per config value."""
+        return astuple(self)
 
 
 class Completion(NamedTuple):
@@ -270,8 +263,8 @@ class CompletionRequest:
     timeout_ms: Optional[float] = None
     max_steps: Optional[int] = None
     token: Optional[CancellationToken] = None
-    #: per-request tracing override (None = follow ``EngineConfig.trace``)
-    trace: Optional[bool] = None
+    #: trace this query (span tree lands in ``QueryOutcome.trace``)
+    trace: bool = False
 
     def make_budget(self) -> Optional[QueryBudget]:
         if (
@@ -497,13 +490,6 @@ class CompletionEngine:
         built).  Nothing here proves satisfiability: callers that want
         pre-flight run it between the probe and this call, and only
         when the probe did not replay a non-empty stream.
-
-        A *traced* query still replays from the whole-query cache (the
-        replay is marked with a ``cache`` span and the outcome's
-        ``cached`` flag), but on a miss it runs entirely on private
-        streams and does **not** populate the cache: the tracer's
-        counting wrappers must never be baked into streams that later,
-        untraced queries would replay through.
         """
         cache, key, replay = probe
         if replay is not None:
@@ -511,7 +497,7 @@ class CompletionEngine:
         query = _Query(self, context, abstypes, expected_type, keyword,
                        budget, tracer)
         stream = query.result_stream(pe)
-        if cache is None or tracer is not None:
+        if cache is None:
             return stream, query, False
         shared = cache.insert(
             self.ts, key, stream,
@@ -610,7 +596,7 @@ class CompletionEngine:
         keyword: Optional[str] = None,
         budget: Optional[QueryBudget] = None,
         strict: bool = False,
-        trace: Optional[bool] = None,
+        trace: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> QueryOutcome:
         """The top ``n`` completions plus resilience metadata.
@@ -622,13 +608,14 @@ class CompletionEngine:
         :class:`QueryCancelled`) instead of returning a truncated
         outcome.
 
-        ``trace`` overrides ``EngineConfig.trace`` for this query;
-        callers that already opened spans (the session's ``parse``) may
-        hand in their own ``tracer`` instead.  Either way the exported
-        span list lands in ``QueryOutcome.trace``.
+        ``trace=True`` traces this query; callers that already opened
+        spans (the session's ``parse``) may hand in their own ``tracer``
+        instead.  Either way the exported span list lands in
+        ``QueryOutcome.trace``.  A traced query runs the same program as
+        an untraced one: it probes, fills and replays the cross-query
+        cache alike.
         """
-        wanted = trace if trace is not None else self.config.trace
-        if tracer is None and wanted:
+        if tracer is None and trace:
             tracer = Tracer()
         outcome = self._run_query(
             pe, context, n, abstypes, expected_type, keyword, budget,
@@ -718,6 +705,9 @@ class CompletionEngine:
                 root_span.set("steps", steps)
                 root_span.set("completions", len(completions))
                 root_span.set("cached", 1 if cached else 0)
+                if query is not None and query.cache is not None:
+                    root_span.set("stream_hits", query.stream_hits)
+                    root_span.set("stream_misses", query.stream_misses)
             return QueryOutcome(
                 completions=completions,
                 status=QueryStatus.from_truncation(truncated),
@@ -1008,14 +998,12 @@ class _Query:
         #: measured (and attributable) on every query
         self.meter = budget if budget is not None else QueryBudget()
         self.degraded = self.ranker.degraded
-        #: the cross-query cache (None = this query must run cold).
-        #: A traced query always runs on private streams: the tracer's
-        #: counting wrappers must never end up inside a cached stream
-        #: that later untraced queries would replay.
-        self.cache = (
-            None if tracer is not None
-            else engine._stream_cache(abstypes, budget)
-        )
+        #: the cross-query cache (None = this query must run cold)
+        self.cache = engine._stream_cache(abstypes, budget)
+        #: this query's sub-stream lookups, by outcome (a traced query
+        #: reports them on its ``query`` span)
+        self.stream_hits = 0
+        self.stream_misses = 0
         if self.cache is not None:
             self._ctx_sig = context_signature(context)
             self._cfg_sig = engine._config_signature()
@@ -1050,10 +1038,12 @@ class _Query:
             self.keyword,
             self._cfg_sig,
         )
-        shared, _hit = self.cache.stream(
+        shared, hit = self.cache.stream(
             self.ts, key, make,
             footprint=lambda: self.engine._footprint(pe, target),
         )
+        self.stream_hits += hit
+        self.stream_misses += not hit
         return shared
 
     def _materialized(self, pe: Expr, target: Optional[TypeDef]):

@@ -267,7 +267,8 @@ class ReachabilityIndex:
         #: a pack load never pays for walks no query asks about
         self._packed: Dict[Tuple[str, bool], Tuple[str, str]] = {}
         self._pack_strings: List[str] = []
-        #: memo hit/miss counters for ``steps_to_target`` (bench reporting)
+        #: memo hit/miss counters for ``steps_to_target`` (read by
+        #: :meth:`stats`)
         self.hits = 0
         self.misses = 0
         #: refreshes that dropped only the walks a mutation could touch

@@ -292,7 +292,7 @@ class CompletionSession:
                 timeout_ms=self.timeout_ms,
                 max_steps=self.step_budget,
                 token=self.cancellation,
-                trace=self.trace or None,
+                trace=self.trace,
             ))
             targets.append(record)
         outcomes = self.workspace.engine.complete_many(requests)

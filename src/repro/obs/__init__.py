@@ -71,8 +71,6 @@ from .schema import (
     validate_trace_text,
 )
 from .trace import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TRACE_FORMAT,
     TRACE_VERSION,
@@ -88,8 +86,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BOUNDS_MS",
     "Metrics",
-    "NULL_TRACER",
-    "NullTracer",
     "PhaseDelta",
     "Profile",
     "RUNLOG_FORMAT",

@@ -9,9 +9,14 @@ documented in ``docs/OBSERVABILITY.md``.
 
 Tracing is strictly opt-in and the engine's call sites are guarded
 (``if tracer is not None``), so a query with tracing disabled pays
-nothing — the invariant the PR 3 perf gate depends on.  For callers
-that prefer an unconditional object, :data:`NULL_TRACER` implements the
-same interface as pure no-ops.
+nothing for it.  Tracing observes and never forks: a traced query
+probes, fills and replays the cross-query cache exactly as an untraced
+one does, so the counting wrappers it creates can end up inside cached
+streams that later queries extend.  Once :meth:`Tracer.finish` runs
+they pass items straight through, and an ended :class:`Span` ignores
+further counter writes, so an exported trace never changes.  A cached
+stream keeps its finished tracer alive until the cache entry is
+evicted or invalidated.
 
 Spans export as plain dicts (JSON-ready) or NDJSON — one JSON object
 per line, a ``{"kind": "trace", ...}`` header followed by
@@ -45,7 +50,9 @@ class Span:
     """One named, timed phase with a counter map.
 
     ``start_ms``/``end_ms`` are relative to the owning tracer's epoch;
-    ``end_ms`` is ``None`` while the span is open.
+    ``end_ms`` is ``None`` while the span is open.  Counters are frozen
+    once the span has ended: later :meth:`add`/:meth:`set` calls are
+    no-ops.
     """
 
     __slots__ = ("name", "span_id", "parent_id", "start_ms", "end_ms",
@@ -62,11 +69,13 @@ class Span:
 
     def add(self, counter: str, value: float = 1) -> None:
         """Accumulate into a counter (created at 0)."""
-        self.counters[counter] = self.counters.get(counter, 0) + value
+        if self.end_ms is None:
+            self.counters[counter] = self.counters.get(counter, 0) + value
 
     def set(self, counter: str, value: float) -> None:
         """Overwrite a counter."""
-        self.counters[counter] = value
+        if self.end_ms is None:
+            self.counters[counter] = value
 
     @property
     def duration_ms(self) -> Optional[float]:
@@ -95,6 +104,12 @@ class Span:
             "{:.2f}ms".format(self.duration_ms))
 
 
+#: what :meth:`Tracer.start` returns once the tracer has finished: ended,
+#: so it drops every counter write, and exported by no tracer
+_DETACHED = Span("detached", -1, None, 0.0)
+_DETACHED.end_ms = 0.0
+
+
 class Tracer:
     """Collects the span tree of one traced query.
 
@@ -105,8 +120,9 @@ class Tracer:
     and pull time as the stream is consumed, and ends the span when the
     stream is exhausted or the tracer is finished — whichever comes
     first.  :meth:`finish` closes everything still open; after it, the
-    tracer is inert (wrapped streams that keep being pulled — e.g. a
-    cached stream extended by a later query — stop counting).
+    tracer is inert: wrapped streams that keep being pulled (a cached
+    stream extended by a later query) pass items straight through, and
+    spans started after it are ended at once and never exported.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
@@ -125,7 +141,10 @@ class Tracer:
 
     def start(self, name: str) -> Span:
         """Begin a span parented to the current stack top, without
-        pushing it (for lazy phases ended explicitly via :meth:`end`)."""
+        pushing it (for lazy phases ended explicitly via :meth:`end`).
+        On a finished tracer the span is already ended and detached."""
+        if self.closed:
+            return _DETACHED
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(name, self._next_id, parent, self._now_ms())
         self._next_id += 1
@@ -176,29 +195,28 @@ class Tracer:
         the query meter's — so the span records the expansion steps
         charged while this stream was being pulled.
         """
+        if self.closed:
+            return iter(stream)
         span = self.start(name)
         steps_at_start = steps() if steps is not None else 0
 
         def generator() -> Iterator:
             iterator = iter(stream)
             try:
-                while True:
+                while not self.closed:
                     pulled_at = self._clock()
                     try:
                         item = next(iterator)
                     except StopIteration:
                         return
                     finally:
-                        if not self.closed:
-                            span.add(
-                                "busy_ms",
-                                (self._clock() - pulled_at) * 1000.0,
-                            )
-                    if not self.closed:
-                        span.add("items")
+                        span.add(
+                            "busy_ms", (self._clock() - pulled_at) * 1000.0)
+                    span.add("items")
                     yield item
+                yield from iterator
             finally:
-                if not self.closed and span.end_ms is None:
+                if span.end_ms is None:
                     if steps is not None:
                         span.set("steps", steps() - steps_at_start)
                     self.end(span)
@@ -245,58 +263,3 @@ def ndjson_to_dicts(text: str) -> List[Dict[str, Any]]:
             raise ValueError("line {}: not a JSON object".format(number))
         records.append(record)
     return records
-
-
-class NullTracer:
-    """The no-op tracer: same interface, does nothing, costs nothing.
-
-    The engine guards its call sites with ``if tracer is not None``
-    instead, but API users can pass :data:`NULL_TRACER` anywhere a
-    tracer is accepted to keep their own code unconditional.
-    """
-
-    closed = True
-    spans: List[Span] = []
-
-    def start(self, name: str) -> Span:
-        return _NULL_SPAN
-
-    def end(self, span: Span) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        yield _NULL_SPAN
-
-    def current(self) -> Optional[Span]:
-        return None
-
-    def finish(self) -> None:
-        pass
-
-    def wrap_stream(self, name, stream, steps=None):
-        return iter(stream)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return []
-
-    def to_ndjson(self, **meta: Any) -> str:
-        return trace_to_ndjson([], **meta)
-
-
-class _NullSpan(Span):
-    """A span that swallows counter writes (shared, so it must not
-    accumulate state)."""
-
-    __slots__ = ()
-
-    def add(self, counter: str, value: float = 1) -> None:
-        pass
-
-    def set(self, counter: str, value: float) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan("null", -1, None, 0.0)
-
-NULL_TRACER = NullTracer()

@@ -171,8 +171,7 @@ class Tenant:
         session.keyword = request.keyword
         if request.max_steps is not None:
             session.step_budget = request.max_steps
-        if request.trace:
-            session.trace = True
+        session.trace = request.trace
         return session
 
     def _run(self, request: CompletionRequestBody,

@@ -237,8 +237,8 @@ class TestEngineConfig:
             config.enable_cache = False
         first = CompletionEngine(paint.ts, config)._config_signature()
         assert CompletionEngine(paint.ts, config)._config_signature() is first
-        traced = dataclasses.replace(config, trace=True)
-        assert CompletionEngine(paint.ts, traced)._config_signature() == first
+        assert CompletionEngine(
+            paint.ts, EngineConfig())._config_signature() == first
 
 
 class TestInjectedState:

@@ -7,7 +7,9 @@ The load-bearing guarantees:
   batteries);
 * every :class:`ScoreBreakdown` sums exactly to the ranked score for
   every golden completion in every builtin universe;
-* cache-replayed outcomes still trace and explain (marked ``cached``).
+* cache-replayed outcomes still trace and explain (marked ``cached``);
+* tracing never forks the program: a traced query probes, fills and
+  replays the cross-query cache exactly as an untraced one does.
 """
 
 import io
@@ -29,7 +31,6 @@ from repro.ide.session import CompletionSession
 from repro.ide.workspace import Workspace
 from repro.obs import (
     Metrics,
-    NULL_TRACER,
     ScoreBreakdown,
     Tracer,
     ndjson_to_dicts,
@@ -37,6 +38,7 @@ from repro.obs import (
     validate_trace_text,
 )
 from repro.engine.ranking import Ranker
+from repro.eval.battery import battery_for
 
 from .test_golden_completions import GOLDEN_DIR, QUERIES, _universe
 
@@ -67,6 +69,28 @@ class TestTracingDifferential:
                     source, name)
             assert got.trace, "traced outcome carries no spans"
             assert want.trace is None
+
+    @pytest.mark.parametrize("name", UNIVERSES)
+    def test_traced_session_runs_the_untraced_program(self, name):
+        """Two passes of the golden battery, traced and untraced, on
+        fresh workspaces: same answers, steps, cache replays and cache
+        counters — the traced session shares streams exactly as the
+        untraced one does."""
+        battery = battery_for(name)
+        assert battery.queries == QUERIES[name]
+        runs = {}
+        for traced in (False, True):
+            session = battery.session(Workspace.builtin(name))
+            session.trace = traced
+            records = [session.complete(source)
+                       for _ in range(2) for source in battery.queries]
+            assert all((r.trace is not None) == traced for r in records)
+            runs[traced] = (
+                [(r.source, [(s.score, s.text) for s in r.suggestions],
+                  r.steps, r.cached) for r in records],
+                session.workspace.cache_stats(),
+            )
+        assert runs[True] == runs[False]
 
     @pytest.mark.parametrize("name", UNIVERSES)
     def test_traced_matches_golden(self, name):
@@ -148,10 +172,29 @@ class TestTraceStructure:
         outer = next(s for s in spans if s["name"] == "outer")
         assert inner["parent"] == outer["span"]
 
-    def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("x") as span:
+    def test_ended_span_ignores_counter_writes(self):
+        tracer = Tracer()
+        with tracer.span("x") as span:
             span.add("items")
-        assert NULL_TRACER.to_dicts() == []
+            span.set("roots", 3)
+        span.add("items")
+        span.set("roots", 4)
+        span.set("late", 1)
+        assert span.counters == {"items": 1, "roots": 3}
+
+    def test_finished_tracer_records_nothing_more(self):
+        tracer = Tracer()
+        stream = tracer.wrap_stream("expand:x", iter([1, 2, 3]))
+        assert next(stream) == 1
+        tracer.finish()
+        exported = tracer.to_dicts()
+        late = tracer.start("late")
+        late.add("items")
+        assert late.end_ms is not None and not late.counters
+        assert list(tracer.wrap_stream("expand:y", [4])) == [4]
+        assert list(stream) == [2, 3]
+        assert tracer.to_dicts() == exported
+        assert exported[0]["counters"]["items"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +270,47 @@ class TestCacheReplay:
         assert warm.trace is not None
         cache_spans = [s for s in warm.trace if s["name"] == "cache"]
         assert cache_spans and cache_spans[0]["counters"]["hit"] == 1
+        assert not [s for s in warm.trace if s["name"].startswith("expand:")]
         assert [c.expr.key() for c in warm.completions] \
             == [c.expr.key() for c in cold.completions]
 
-    def test_traced_miss_does_not_populate_cache(self, engine):
+    def test_traced_miss_populates_cache(self, engine):
         engine, context = engine
         pe = parse("?({size})", context)
         traced = engine.complete_query(pe, context, trace=True)
         assert not traced.cached
         after = engine.complete_query(pe, context)
-        assert not after.cached, \
-            "a traced miss must not seed the shared cache"
+        assert after.cached, "a traced miss must fill the shared cache"
+        assert after.trace is None
+        assert after.completions == traced.completions
+
+    def test_traced_warm_query_reports_stream_reuse(self, engine):
+        engine, context = engine
+        # a different whole query that already expanded the ``img``
+        # argument sub-stream
+        engine.complete_query(parse("?({img})", context), context)
+        traced = engine.complete_query(
+            parse("?({img, size})", context), context, trace=True)
+        assert not traced.cached
+        [query] = [s for s in traced.trace if s["name"] == "query"]
+        assert query["counters"]["stream_hits"] >= 1
+        assert query["counters"]["stream_misses"] >= 1  # the ``size`` one
+
+    def test_replayed_stream_leaves_its_trace_frozen(self, engine):
+        """A traced query leaves its (partly pulled) stream in the
+        cache; a later untraced query extends it through the traced
+        query's wrappers, which must neither count nor add spans."""
+        engine, context = engine
+        pe = parse("?", context)
+        tracer = Tracer()
+        first = engine.complete_query(pe, context, n=1, tracer=tracer)
+        spans = len(tracer.spans)
+        later = engine.complete_query(pe, context, n=10)
+        assert later.cached and len(later.completions) == 10
+        assert tracer.to_dicts() == first.trace
+        assert len(tracer.spans) == spans
+        cold = CompletionEngine(engine.ts).complete_query(pe, context, n=10)
+        assert later.completions == cold.completions
 
     def test_replays_skip_preflight_traced_or_not(self, engine, monkeypatch):
         engine, context = engine

@@ -127,6 +127,27 @@ class TestGoldenRoundTrips:
         assert suggestions_json(first["suggestions"]) == \
             suggestions_json(second["suggestions"])
 
+    @pytest.mark.parametrize("first_traced", [False, True])
+    def test_traced_repeat_replays_the_cache(self, client, first_traced):
+        """A traced request runs the cached program: it replays what an
+        earlier request computed, and its own miss fills the cache."""
+        query = "span.?*m" if first_traced else "span.?*f"
+        scope = {"locals": {"span": "System.TimeSpan"}}
+        _, first = client.complete(UNIVERSE, query, trace=first_traced,
+                                   **scope)
+        assert first["cached"] is False
+        status, second = client.complete(UNIVERSE, query, trace=True,
+                                         **scope)
+        assert status == 200, second
+        assert second["cached"] is True
+        assert suggestions_json(first["suggestions"]) == \
+            suggestions_json(second["suggestions"])
+        names = [span["name"] for span in second["spans"]]
+        [cache] = [span for span in second["spans"]
+                   if span["name"] == "cache"]
+        assert cache["counters"]["hit"] == 1
+        assert not [name for name in names if name.startswith("expand:")]
+
 
 class TestErrorShapes:
     def _assert_error(self, status, body, code):
