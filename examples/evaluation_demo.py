@@ -1,101 +1,27 @@
-"""A miniature run of the paper's whole evaluation (Sec. 5).
+"""The paper's whole evaluation (Sec. 5) as a library call.
 
-Run:  python examples/evaluation_demo.py          (about a minute)
+Run:  python examples/evaluation_demo.py          (capped; about 10 s)
       python examples/evaluation_demo.py --full   (everything; several min)
 
-Replays queries over the seven corpus projects and prints Table 1 and
-Figures 9-16 in the paper's shapes, plus the speed summaries.
+Builds the seven corpus projects, runs the four query families once with
+``run_all`` and prints the markdown report: run manifest, corpus census,
+Table 1, Figures 9-16, query latency and phase timings.  This is what
+``python -m repro eval`` does.
 """
 
 import sys
 
 from repro.corpus import build_all_projects
-from repro.eval import (
-    EvalConfig,
-    corpus_census,
-    format_census,
-    argument_query_times,
-    best_method_query_times,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    format_cdf_series,
-    format_figure10,
-    format_figure11,
-    format_figure14,
-    format_speed,
-    format_table1,
-    lookup_query_times,
-    run_argument_prediction,
-    run_assignment_prediction,
-    run_comparison_prediction,
-    run_method_prediction,
-    speed_summary,
-    table1,
-)
+from repro.eval import EvalConfig, render_report, run_all
+from repro.obs import RunLog
 
 
 def main(full: bool = False) -> None:
-    projects = build_all_projects()
-    if full:
-        cfg = EvalConfig(limit=100)
-    else:
-        cfg = EvalConfig(
-            limit=60,
-            max_calls_per_project=60,
-            max_arguments_per_project=80,
-            max_assignments_per_project=40,
-            max_comparisons_per_project=25,
-        )
-
-    print("## Corpus census")
-    print(format_census(corpus_census(projects)))
-    print()
-
-    print("## Sec 5.1 — predicting method names")
-    methods = run_method_prediction(projects, cfg)
-    print(format_table1(table1(methods)))
-    print()
-    print(format_cdf_series("Figure 9", figure9(methods)))
-    print()
-    if full:
-        from repro.eval import figure9_by_project
-
-        print(format_cdf_series("Fig 9 (by project)",
-                                figure9_by_project(methods)))
-        print()
-    print(format_figure10(figure10(methods)))
-    print()
-    print(format_figure11(figure11(methods), "Figure 11 (vs Intellisense)"))
-    print(format_figure11(figure12(methods), "Figure 12 (known return type)"))
-    print(format_speed("method queries",
-                       speed_summary(best_method_query_times(methods))))
-    print()
-
-    print("## Sec 5.2 — predicting method arguments")
-    arguments = run_argument_prediction(projects, cfg)
-    print(format_cdf_series("Figure 13", figure13(arguments)))
-    print()
-    print(format_figure14(figure14(arguments)))
-    print(format_speed("argument queries",
-                       speed_summary(argument_query_times(arguments))))
-    print()
-
-    print("## Sec 5.3 — predicting field lookups")
-    assignments = run_assignment_prediction(projects, cfg)
-    print(format_cdf_series("Figure 15", figure15(assignments)))
-    print()
-    comparisons = run_comparison_prediction(projects, cfg)
-    print(format_cdf_series("Figure 16", figure16(comparisons)))
-    print(format_speed(
-        "lookup queries",
-        speed_summary(lookup_query_times(assignments + comparisons)),
-    ))
+    run_log = RunLog("eval-full" if full else "eval")
+    projects = build_all_projects(run_log=run_log)
+    cfg = EvalConfig() if full else EvalConfig.capped()
+    bundle = run_all(projects, cfg, run_log)
+    print(render_report(bundle, projects, run_log))
 
 
 if __name__ == "__main__":

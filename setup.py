@@ -1,15 +1,8 @@
-"""Setup shim for environments without the `wheel` package (offline)."""
+"""Setup shim for environments without the `wheel` package (offline).
 
-from setuptools import find_packages, setup
+All metadata lives in pyproject.toml.
+"""
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "Type-directed completion of partial expressions "
-        "(PLDI 2012 reproduction)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-)
+from setuptools import setup
+
+setup()

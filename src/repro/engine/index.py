@@ -267,10 +267,6 @@ class ReachabilityIndex:
         #: a pack load never pays for walks no query asks about
         self._packed: Dict[Tuple[str, bool], Tuple[str, str]] = {}
         self._pack_strings: List[str] = []
-        #: memo hit/miss counters for ``steps_to_target`` (read by
-        #: :meth:`stats`)
-        self.hits = 0
-        self.misses = 0
         #: refreshes that dropped only the walks a mutation could touch
         self.patches = 0
         #: refreshes that cleared every memoised walk
@@ -423,9 +419,7 @@ class ReachabilityIndex:
         self.refresh()
         key = (source.full_name, target.full_name, allow_methods)
         if key in self._target_cache:
-            self.hits += 1
             return self._target_cache[key]
-        self.misses += 1
         best: Optional[int] = None
         for name, steps in self.reachable(source, allow_methods).items():
             if best is not None and steps >= best:
@@ -450,15 +444,3 @@ class ReachabilityIndex:
         steps = self.steps_to_target(source, target, allow_methods, budget)
         return steps is not None and steps <= within
 
-    def stats(self) -> Dict[str, float]:
-        """Memo shape and hit rate of the target queries."""
-        total = self.hits + self.misses
-        return {
-            "sources": float(len(self._cache)),
-            "targets": float(len(self._target_cache)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hits / total if total else 0.0,
-            "patches": float(self.patches),
-            "rebuilds": float(self.rebuilds),
-        }

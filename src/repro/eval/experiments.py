@@ -72,6 +72,18 @@ class EvalConfig:
     #: method's locals
     scoped_locals: bool = False
 
+    @classmethod
+    def capped(cls) -> "EvalConfig":
+        """The default ``repro eval`` run: the first sites of each
+        project per family, every figure on (about 10 s)."""
+        return cls(
+            limit=60,
+            max_calls_per_project=40,
+            max_arguments_per_project=50,
+            max_assignments_per_project=25,
+            max_comparisons_per_project=15,
+        )
+
     def engine_config(self) -> EngineConfig:
         return EngineConfig(ranking=self.ranking)
 
@@ -168,9 +180,8 @@ def project_runs(
 
     Historically every family runner built a fresh engine per project,
     so a full evaluation paid four index builds per project.  Build this
-    map once and pass it to each runner — ``run_all`` and
-    ``generate_report`` do — and all four families share warm indexes
-    and the cross-query cache.
+    map once and pass it to each runner — ``run_all`` does — and all
+    four families share warm indexes and the cross-query cache.
     """
     return {project.name: _ProjectRun(project, cfg) for project in projects}
 

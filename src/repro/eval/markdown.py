@@ -1,24 +1,27 @@
-"""Markdown report generation for a full evaluation run.
+"""The evaluation report: one markdown document per ``repro eval`` run.
 
-``generate_report`` runs all four experiment families and renders one
-self-contained markdown document with every table and figure — the
-machine-written counterpart of EXPERIMENTS.md.
+``render_report`` renders a :class:`~repro.eval.runner.ResultBundle`
+from :func:`~repro.eval.runner.run_all` together with the run log that
+recorded it (docs/OBSERVABILITY.md):
+
+* a **run manifest** table — label, run id, git SHA, config signature,
+  universe versions, seed — so a report is attributable to the exact
+  code and configuration that produced it;
+* the corpus census, Table 1 and Figures 9–16;
+* per-family query latency;
+* a **phase timing** table from the run log's phase records and a
+  per-family query rollup, so the report says where the wall-clock
+  went, not just what the accuracy was.
+
+The checked-in ``EVAL_REPORT.md`` is this document for a capped run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping
 
 from ..corpus.program import Project
 from ..obs.runlog import RunLog
-from .experiments import (
-    EvalConfig,
-    project_runs,
-    run_argument_prediction,
-    run_assignment_prediction,
-    run_comparison_prediction,
-    run_method_prediction,
-)
 from .figures import (
     figure9,
     figure9_by_project,
@@ -31,12 +34,14 @@ from .figures import (
     figure15,
     figure16,
 )
+from .runner import ResultBundle
 from .speed import (
     argument_query_times,
     best_method_query_times,
     lookup_query_times,
     speed_summary,
 )
+from .stats import corpus_census
 from .tables import table1
 
 
@@ -77,23 +82,72 @@ def _speed_row(title: str, summary: Mapping[str, float]) -> List[str]:
     ]
 
 
-def generate_report(
+def _manifest_section(manifest: Dict[str, Any]) -> List[str]:
+    universes = manifest.get("universes") or {}
+    rows = [
+        ["label", str(manifest.get("label"))],
+        ["run id", str(manifest.get("run_id"))],
+        ["git SHA", str(manifest.get("git_sha"))],
+        ["config signature", str(manifest.get("config_signature"))],
+        ["universes", ", ".join(
+            "{} v{}".format(name, universes[name])
+            for name in sorted(universes)) or "-"],
+        ["seed", str(manifest.get("seed"))],
+    ]
+    return ["## Run manifest", ""] + _md_table(["key", "value"], rows) + [""]
+
+
+def _phase_sections(records: List[Dict[str, Any]]) -> List[str]:
+    out: List[str] = []
+    phases = [r for r in records if r.get("kind") == "phase"]
+    if phases:
+        out += ["## Phase timings", ""]
+        out += _md_table(
+            ["phase", "duration"],
+            [[p["name"], "{:.1f} ms".format(p["duration_ms"])]
+             for p in phases],
+        )
+        out.append("")
+
+    families: Dict[str, Dict[str, float]] = {}
+    for record in records:
+        if record.get("kind") != "query":
+            continue
+        bucket = families.setdefault(
+            record.get("family") or "(other)",
+            {"count": 0, "elapsed_ms": 0.0, "found": 0})
+        bucket["count"] += 1
+        bucket["elapsed_ms"] += record.get("elapsed_ms") or 0.0
+        if record.get("status") == "ok":
+            bucket["found"] += 1
+    if families:
+        out += ["## Query rollup", ""]
+        out += _md_table(
+            ["family", "queries", "ok", "total time"],
+            [[name, str(int(bucket["count"])), str(int(bucket["found"])),
+              "{:.1f} ms".format(bucket["elapsed_ms"])]
+             for name, bucket in sorted(families.items())],
+        )
+        out.append("")
+    return out
+
+
+def render_report(
+    bundle: ResultBundle,
     projects: Iterable[Project],
-    cfg: Optional[EvalConfig] = None,
+    run_log: RunLog,
     title: str = "Evaluation report",
-    run_log: Optional[RunLog] = None,
 ) -> str:
-    """Run every experiment family and render a markdown report.
+    """Render one evaluation run as a markdown document.
 
-    With ``run_log`` attached, every timed query is also recorded as a
-    structured run-log record (docs/OBSERVABILITY.md).
+    Figures 11 and 12 appear when the bundle carries Intellisense
+    (and return-type) ranks, i.e. when the run's config computed them.
     """
-    projects = list(projects)
-    cfg = cfg or EvalConfig()
-    runs = project_runs(projects, cfg)
+    records = run_log.records()
+    methods, arguments = bundle.methods, bundle.arguments
+    assignments, comparisons = bundle.assignments, bundle.comparisons
     out: List[str] = ["# {}".format(title), ""]
-
-    from .stats import corpus_census
+    out += _manifest_section(records[0])
 
     out += ["## Corpus census", ""]
     out += _md_table(
@@ -102,12 +156,11 @@ def generate_report(
         [
             [c.name, str(c.types), str(c.methods), str(c.impls),
              str(c.calls), str(c.assignments), str(c.comparisons)]
-            for c in corpus_census(projects)
+            for c in corpus_census(list(projects))
         ],
     )
     out.append("")
 
-    methods = run_method_prediction(projects, cfg, runs, run_log)
     out += ["## Table 1 — method prediction per project", ""]
     rows = [
         [r.project, str(r.calls), str(r.top10), str(r.top10_20)]
@@ -130,10 +183,12 @@ def generate_report(
         ],
     )
 
-    if cfg.with_intellisense:
+    if any(r.intellisense is not None for r in methods):
         out += ["", "## Figures 11 & 12 — vs. Intellisense", ""]
         fig11 = figure11(methods)
-        fig12 = figure12(methods) if cfg.with_return_type else None
+        fig12 = (figure12(methods)
+                 if any(r.best_rank_return is not None for r in methods)
+                 else None)
         headers = ["bucket", "Fig. 11"] + (["Fig. 12 (return type known)"]
                                            if fig12 else [])
         rows = []
@@ -151,7 +206,6 @@ def generate_report(
              for band, share in figure11_histogram(methods).items()],
         )
 
-    arguments = run_argument_prediction(projects, cfg, runs, run_log)
     out += ["", "## Figure 13 — argument prediction", ""]
     out += _cdf_table(figure13(arguments))
     out += ["", "## Figure 14 — argument kinds", ""]
@@ -160,11 +214,9 @@ def generate_report(
         [[kind, _pct(share)] for kind, share in figure14(arguments).items()],
     )
 
-    assignments = run_assignment_prediction(projects, cfg, runs, run_log)
     out += ["", "## Figure 15 — assignments", ""]
     out += _cdf_table(figure15(assignments))
 
-    comparisons = run_comparison_prediction(projects, cfg, runs, run_log)
     out += ["", "## Figure 16 — comparisons", ""]
     out += _cdf_table(figure16(comparisons))
 
@@ -182,4 +234,5 @@ def generate_report(
         ],
     )
     out.append("")
+    out += _phase_sections(records)
     return "\n".join(out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from ..corpus.program import Project
-from ..obs.runlog import RunLog
+from ..obs.runlog import RunLog, signature_hex
 from .experiments import (
     ArgumentResult,
     EvalConfig,
@@ -70,13 +70,21 @@ def run_all(
 ) -> ResultBundle:
     """Run every experiment family over the projects.
 
-    The four families share one warm engine per project (indexes and the
-    cross-query cache are built once, not once per family).  With a
-    ``run_log`` attached, each family is recorded as a phase and every
+    This is the only place the four families run.  They share one warm
+    engine per project (indexes and the cross-query cache are built
+    once, not once per family).  With a ``run_log`` attached, its
+    manifest gets the engine-config signature and universe versions,
+    each family is recorded as an ``eval/<family>`` phase and every
     timed query as a structured record (docs/OBSERVABILITY.md).
     """
     projects = list(projects)
     cfg = cfg or EvalConfig()
+    if run_log is not None:
+        run_log.annotate(
+            config_signature=signature_hex(cfg.engine_config()._signature),
+            universes={project.name: project.ts.version
+                       for project in projects},
+        )
     runs = project_runs(projects, cfg)
     bundle = ResultBundle()
     with _phase(run_log, "eval/methods"):
