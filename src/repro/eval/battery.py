@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ide.session import CompletionSession
+from ..ide.session import CompletionSession, open_session
 from ..ide.workspace import Workspace
 
 
@@ -31,17 +31,18 @@ class Battery:
         self.locals = dict(locals or {})
         self.this_type = this_type
 
+    @property
+    def scope(self) -> Dict[str, object]:
+        """The battery's scope as :func:`~repro.ide.session.open_session`
+        keywords."""
+        return {"locals": self.locals, "this": self.this_type}
+
     def session(
         self, workspace: Optional[Workspace] = None, n: int = 10
     ) -> CompletionSession:
         """A session over the battery's universe with its scope declared."""
-        workspace = workspace or Workspace.builtin(self.universe)
-        session = CompletionSession(workspace, n=n)
-        for name, type_name in self.locals.items():
-            session.declare(name, type_name)
-        if self.this_type is not None:
-            session.set_this(self.this_type)
-        return session
+        return open_session(workspace or Workspace.builtin(self.universe),
+                            n=n, **self.scope)
 
 
 BATTERIES: Dict[str, Battery] = {
@@ -70,9 +71,4 @@ BATTERIES: Dict[str, Battery] = {
 
 
 def battery_for(universe: str) -> Battery:
-    try:
-        return BATTERIES[universe]
-    except KeyError:
-        raise ValueError(
-            "no battery for universe {!r}; pick one of {}".format(
-                universe, ", ".join(sorted(BATTERIES))))
+    return BATTERIES[Workspace.builtin_key(universe)]

@@ -2,6 +2,10 @@
 
 Run:  python -m repro repl --universe paint
 
+The REPL parses its commands and calls the operations the CLI calls
+(:func:`~repro.ide.session.render_record`, :mod:`repro.api`, the
+``repro stats --watch`` table); limits must be positive.
+
 Commands (everything else is treated as a partial expression)::
 
     :let <name> <Type>     declare a local
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .session import CompletionSession
+from .session import CompletionSession, render_record, require_positive
 from .workspace import Workspace
 
 _HELP = __doc__.split("Commands", 1)[1]
@@ -142,18 +146,20 @@ def _command(state: "_ReplState", line: str, write) -> bool:
             session.keyword = None if args[0] == "none" else args[0]
             write("keyword: {}".format(session.keyword or "none"))
         elif command == ":n" and len(args) == 1:
-            session.n = max(1, int(args[0]))
+            session.n = require_positive("n", int(args[0]))
             write("showing top {}".format(session.n))
         elif command == ":timeout" and len(args) == 1:
             session.timeout_ms = (
-                None if args[0] == "none" else max(1.0, float(args[0]))
+                None if args[0] == "none"
+                else require_positive("timeout", float(args[0]))
             )
             write("timeout: {}".format(
                 "none" if session.timeout_ms is None
                 else "{:.0f} ms".format(session.timeout_ms)))
         elif command == ":budget" and len(args) == 1:
             session.step_budget = (
-                None if args[0] == "none" else max(1, int(args[0]))
+                None if args[0] == "none"
+                else require_positive("budget", int(args[0]))
             )
             write("budget: {}".format(session.step_budget or "none"))
         elif command == ":locals":
@@ -266,39 +272,26 @@ def _cache(session: CompletionSession, action, write) -> None:
 
 
 def _impact(session: CompletionSession, names, write) -> None:
-    workspace = session.workspace
-    full_names = [workspace.resolve_type(name).full_name for name in names]
-    for line in workspace.impact(full_names).render():
+    from .. import api
+
+    for line in api.impact(session.workspace, *names).render():
         write(line)
 
 
-#: REPL workspace names of the builtin universes -> fuzzable keys
-_FUZZ_UNIVERSES = {"paintdotnet": "paint", "geometry": "geometry",
-                   "mini-bcl": "bcl"}
-
-
 def _fuzz(session: CompletionSession, args, write) -> None:
-    from ..fuzz import FuzzConfig, run_fuzz
+    from .. import api
     from ..fuzz.harness import render_report
 
-    try:
-        iterations = int(args[0]) if len(args) >= 1 else 10
-        seed = int(args[1]) if len(args) >= 2 else 0
-    except ValueError:
-        write("usage: :fuzz [iterations] [seed]")
-        return
-    if iterations <= 0:
-        write("usage: :fuzz [iterations] [seed] (iterations > 0)")
-        return
-    universe = _FUZZ_UNIVERSES.get(session.workspace.name)
-    config = FuzzConfig(
-        seed=seed, iterations=iterations,
-        universes=(universe,) if universe else ("paint", "geometry", "bcl"),
-    )
+    iterations = int(args[0]) if len(args) >= 1 else 10
+    seed = int(args[1]) if len(args) >= 2 else 0
+    universe = {name: key for key, (name, _builder)
+                in Workspace.BUILTIN.items()}.get(session.workspace.name)
     if universe is None:
         write("(universe {!r} is not a builtin; fuzzing the builtin "
               "universes instead)".format(session.workspace.name))
-    for line in render_report(run_fuzz(config, write=write)):
+    report = api.fuzz(seed=seed, iterations=iterations, log=write,
+                      universes=[universe] if universe else None)
+    for line in render_report(report):
         write(line)
 
 
@@ -362,12 +355,9 @@ def _profile(session: CompletionSession, action, write) -> None:
     if action not in (None, "flame"):
         write("usage: :profile [flame]")
         return
-    from ..obs.profile import Profile
+    from ..obs.profile import profile_traces
 
-    profile = Profile()
-    for record in session.history:
-        if record.trace is not None:
-            profile.add_trace(record.trace)
+    profile = profile_traces(record.trace for record in session.history)
     if profile.traces == 0:
         write("no traced queries; :trace on, then run queries")
         return
@@ -380,43 +370,22 @@ def _profile(session: CompletionSession, action, write) -> None:
 
 
 def _stats(session: CompletionSession, write) -> None:
-    data = session.workspace.metrics()
-    counters, histograms = data["counters"], data["histograms"]
-    if not counters and not histograms:
-        write("(no queries recorded)")
-        return
-    for name, value in counters.items():
-        write("  {:<28s} {}".format(name, value))
-    for name, histogram in histograms.items():
-        write("  {:<28s} n={} mean={:.1f} min={:g} max={:g}".format(
-            name, histogram["count"], histogram["mean"],
-            histogram["min"], histogram["max"]))
+    from ..obs.expo import render_metrics_table
+
+    for line in render_metrics_table(session.workspace.metrics()):
+        write(line)
 
 
 def _query(session: CompletionSession, line: str, write) -> None:
     record = session.complete(line)
-    if record.error is not None:
-        write("parse error: {}".format(record.error))
-        return
-    for suggestion in record.suggestions:
-        write("{:>3}. (score {:>3}) {}".format(
-            suggestion.rank, suggestion.score, suggestion.text))
-    if not record.suggestions:
-        write("(no completions)")
-    if record.truncated is not None:
-        write("(truncated: {} after {:.0f} ms — results are best-so-far)"
-              .format(record.truncated, record.elapsed_ms or 0.0))
-    if record.degraded:
-        write("(degraded features: {})".format(
-            ", ".join(sorted(record.degraded))))
+    for text in render_record(record):
+        write(text)
     if record.cached:
         write("(replayed from the cross-query cache)")
 
 
-def main(universe: str = "paint") -> None:  # pragma: no cover - interactive
-    import sys
-
-    workspace = Workspace.builtin(universe)
+def main(workspace: Workspace, write=print) -> None:  # pragma: no cover
+    """Run the REPL on standard input until EOF or ``:quit``."""
 
     def stdin_lines():
         while True:
@@ -425,5 +394,4 @@ def main(universe: str = "paint") -> None:  # pragma: no cover - interactive
             except EOFError:
                 return
 
-    run_repl(workspace, stdin_lines(), lambda text: print(text))
-    sys.exit(0)
+    run_repl(workspace, stdin_lines(), write)

@@ -5,13 +5,16 @@ position: the scope (locals + ``this``), result-list size, an optional
 keyword filter, and a history of queries.  ``accept`` implements the
 paper's iterative-refinement loop: "The user may afterward decide to
 convert the 0 to ? or some other partial expression."
+
+:func:`open_session` is the one way a scope becomes a session and
+:func:`render_record` the one text rendering of a query's result.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from ..analysis.scope import Context
 from ..codemodel.types import TypeDef
@@ -71,6 +74,57 @@ class QueryRecord:
     trace: Optional[List[dict]] = None
 
 
+#: a scope type: a resolved :class:`TypeDef` or a name to resolve
+TypeRef = Union[str, TypeDef]
+
+
+class ScopeError(ValueError):
+    """A scope type that does not resolve; ``location`` names the
+    binding (a local's name, ``this`` or ``expected``)."""
+
+    def __init__(self, message: str, location: str) -> None:
+        super().__init__(message)
+        self.location = location
+
+
+def require_positive(name: str, value):
+    """``value`` when it is ``None`` or positive, else a
+    :class:`ValueError` naming ``name``: a non-positive result count,
+    deadline or step budget is a usage error on every surface."""
+    if value is not None and value <= 0:
+        raise ValueError("{} must be positive, got {}".format(name, value))
+    return value
+
+
+def render_record(record: "QueryRecord", breakdowns=None) -> List[str]:
+    """The text lines of one query's result: the ranked suggestions, each
+    followed by its ranking-term breakdown when ``breakdowns`` maps its
+    rank to one, then the empty / degraded / truncated notes."""
+    if record.error is not None:
+        return ["parse error: {}".format(record.error)]
+    lines = []
+    for suggestion in record.suggestions:
+        lines.append("{:>3}. (score {:>3}) {}".format(
+            suggestion.rank, suggestion.score, suggestion.text))
+        breakdown = (breakdowns or {}).get(suggestion.rank)
+        if breakdown is not None:
+            lines.append("        {}{}".format(
+                "  ".join("{}={}".format(feature, value)
+                          for feature, value in breakdown.rows())
+                or "(no enabled terms)",
+                "  (cache replay)" if breakdown.cached else ""))
+    if not record.suggestions:
+        lines.append("(no completions)")
+    if record.degraded:
+        lines.append("(degraded features: {})".format(
+            ", ".join(sorted(record.degraded))))
+    if record.truncated is not None:
+        lines.append("(truncated: {} after {:.0f} ms — results are "
+                     "best-so-far)".format(
+                         record.truncated, record.elapsed_ms or 0.0))
+    return lines
+
+
 def holes_for_unfilled(expr: Expr) -> Expr:
     """Rewrite every ``0`` leftover into a fresh ``?`` hole, producing the
     next partial expression of an iterative refinement."""
@@ -125,28 +179,29 @@ class CompletionSession:
     # ------------------------------------------------------------------
     # scope manipulation
     # ------------------------------------------------------------------
-    def declare(self, name: str, type_name: str) -> TypeDef:
+    def _resolve(self, type_ref: TypeRef) -> TypeDef:
+        if isinstance(type_ref, TypeDef):
+            return type_ref
+        return self.workspace.resolve_type(type_ref)
+
+    def declare(self, name: str, type_ref: TypeRef) -> TypeDef:
         """``:let name Type`` — add a local to the scope."""
-        typedef = self.workspace.resolve_type(type_name)
+        typedef = self._resolve(type_ref)
         self.locals[name] = typedef
         return typedef
 
-    def set_this(self, type_name: Optional[str]) -> Optional[TypeDef]:
-        if type_name is None:
-            self.this_type = None
-            return None
-        self.this_type = self.workspace.resolve_type(type_name)
+    def set_this(self, type_ref: Optional[TypeRef]) -> Optional[TypeDef]:
+        self.this_type = None if type_ref is None else self._resolve(type_ref)
         return self.this_type
 
-    def set_expected(self, type_name: Optional[str]) -> Optional[TypeDef]:
+    def set_expected(self, type_ref: Optional[TypeRef]) -> Optional[TypeDef]:
         """Constrain results to a type (``void`` allowed), or clear."""
-        if type_name is None:
+        if type_ref is None:
             self.expected_type = None
-            return None
-        if type_name == "void":
+        elif type_ref == "void":
             self.expected_type = self.workspace.ts.void_type
         else:
-            self.expected_type = self.workspace.resolve_type(type_name)
+            self.expected_type = self._resolve(type_ref)
         return self.expected_type
 
     def context(self) -> Context:
@@ -377,3 +432,41 @@ class CompletionSession:
             current = to_source(holes_for_unfilled(top))
         self.auto_status = AutoCompleteStatus.NO_CONVERGENCE
         return None
+
+
+def open_session(
+    workspace: Workspace,
+    locals: Optional[Dict[str, TypeRef]] = None,
+    this: Optional[TypeRef] = None,
+    expected: Optional[TypeRef] = None,
+    keyword: Optional[str] = None,
+    n: int = 10,
+    timeout_ms: Optional[float] = None,
+    max_steps: Optional[int] = None,
+    trace: bool = False,
+) -> CompletionSession:
+    """A session over ``workspace`` with the given scope: ``locals``
+    (name → type name or :class:`TypeDef`), ``this``, ``expected``
+    (``"void"`` allowed), ``keyword``, result count ``n``, deadline
+    ``timeout_ms``, step budget ``max_steps`` and ``trace``.
+
+    Raises :class:`ValueError` for a non-positive ``n``, ``timeout_ms``
+    or ``max_steps``, and :class:`ScopeError` (a ``ValueError``) for a
+    scope type that does not resolve.
+    """
+    session = CompletionSession(workspace, n=require_positive("n", n))
+    session.timeout_ms = require_positive("timeout_ms", timeout_ms)
+    session.step_budget = require_positive("max_steps", max_steps)
+    location = "locals"
+    try:
+        for location, type_ref in (locals or {}).items():
+            session.declare(location, type_ref)
+        location = "this"
+        session.set_this(this)
+        location = "expected"
+        session.set_expected(expected)
+    except ValueError as error:
+        raise ScopeError(str(error), location) from None
+    session.keyword = keyword
+    session.trace = trace
+    return session

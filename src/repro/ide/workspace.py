@@ -76,15 +76,17 @@ class Workspace:
     }
 
     @classmethod
+    def builtin_key(cls, key: str) -> str:
+        """``key`` when it names a bundled universe; otherwise the one
+        unknown-universe :class:`ValueError` every surface reports."""
+        if key not in cls.BUILTIN:
+            raise ValueError("unknown universe {!r}; choose one of: {}".format(
+                key, ", ".join(sorted(cls.BUILTIN))))
+        return key
+
+    @classmethod
     def builtin(cls, key: str, config: Optional[EngineConfig] = None) -> "Workspace":
-        try:
-            name, builder_name = cls.BUILTIN[key]
-        except KeyError:
-            raise ValueError(
-                "unknown universe {!r}; pick one of {}".format(
-                    key, ", ".join(sorted(cls.BUILTIN))
-                )
-            )
+        name, builder_name = cls.BUILTIN[cls.builtin_key(key)]
         from ..corpus import frameworks
 
         ts = TypeSystem()

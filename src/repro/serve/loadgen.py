@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..eval.battery import battery_for
 from ..eval.speed import percentile
+from ..ide.session import require_positive
 from ..obs.expo import LATENCY_BOUNDS_MS
 from ..obs.metrics import Histogram
 from .client import ServeClient
@@ -152,10 +153,9 @@ def run_loadgen(
     """
     emit = log or (lambda _line: None)
     battery_for(universe)  # validate the universe key up front
-    if n_workers <= 0:
-        raise ValueError("n_workers must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    require_positive("n_workers", n_workers)
+    require_positive("duration_s", duration_s)
+    require_positive("deadline_ms", deadline_ms)
     chaos_spec = None
     if fault_plan is not None:
         if url is not None:

@@ -25,13 +25,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..ide.session import CompletionSession, QueryRecord
+from ..ide.session import CompletionSession, QueryRecord, open_session
 from ..ide.workspace import Workspace
 from ..testing import faults
 from . import protocol
 from .chaos import ChaosSpec, ChaosStream
 from .protocol import CompletionRequestBody, ProtocolError
 
+#: the builtin universes a pool serves when none are named
+DEFAULT_UNIVERSES = tuple(Workspace.BUILTIN)
 #: queue-wait estimate before any request has finished (ms) — only a
 #: fallback: :meth:`Tenant.warm` replaces it with a measured probe-query
 #: latency, so a cold guess never drives admission on a warmed server
@@ -96,7 +98,7 @@ class Tenant:
                 session = battery.session(self.workspace, n=5)
                 query = battery.queries[0]
             except ValueError:
-                session = CompletionSession(self.workspace, n=5)
+                session = open_session(self.workspace, n=5)
                 query = "?"
             start = time.monotonic()
             session.complete(query)
@@ -158,21 +160,14 @@ class Tenant:
     # query execution (tenant thread)
     # ------------------------------------------------------------------
     def _session(self, request: CompletionRequestBody) -> CompletionSession:
-        session = CompletionSession(self.workspace, n=request.n)
         try:
-            for name, type_name in request.locals.items():
-                session.declare(name, type_name)
-            if request.this is not None:
-                session.set_this(request.this)
-            if request.expected is not None:
-                session.set_expected(request.expected)
+            return open_session(
+                self.workspace, locals=request.locals, this=request.this,
+                expected=request.expected, keyword=request.keyword,
+                n=request.n, max_steps=request.max_steps,
+                trace=request.trace)
         except ValueError as error:
             raise ProtocolError(protocol.BAD_REQUEST, str(error))
-        session.keyword = request.keyword
-        if request.max_steps is not None:
-            session.step_budget = request.max_steps
-        session.trace = request.trace
-        return session
 
     def _run(self, request: CompletionRequestBody,
              admitted: float) -> List[QueryRecord]:
@@ -203,12 +198,13 @@ class Tenant:
                     "{}@{}".format(site, call)
                     for site, call in plan.triggered]
 
-    def complete(self, request: CompletionRequestBody) -> List[QueryRecord]:
-        """Admit, queue, and run a request; blocks the calling thread
-        (the server wraps this in ``run_in_executor``)."""
+    def _submit(self, request: CompletionRequestBody, run):
+        """Admit ``request``, run ``run(admitted)`` on the tenant thread
+        and wait for it; blocks the calling thread (the server wraps
+        this in ``run_in_executor``)."""
         admitted = self.admit(request.deadline_ms)
         try:
-            future = self.executor.submit(self._run, request, admitted)
+            future = self.executor.submit(run, admitted)
         except RuntimeError:
             # executor already shut down mid-flight
             self._cancel()
@@ -218,25 +214,21 @@ class Tenant:
         finally:
             self._finish(admitted)
 
+    def complete(self, request: CompletionRequestBody) -> List[QueryRecord]:
+        """Admit, queue, and run a request."""
+        return self._submit(
+            request, lambda admitted: self._run(request, admitted))
+
     def explain(self, request: CompletionRequestBody) -> list:
         """Ranking attribution on the tenant thread (same admission)."""
-        admitted = self.admit(request.deadline_ms)
 
-        def run():
+        def run(_admitted):
             session = self._session(request)
             with self.run_log.bind(request_id=request.request_id):
                 return session.explain(rank=request.rank,
                                        source=request.queries[0])
 
-        try:
-            future = self.executor.submit(run)
-        except RuntimeError:
-            self._cancel()
-            raise AdmissionError(protocol.SHED, "tenant is shutting down")
-        try:
-            return future.result()
-        finally:
-            self._finish(admitted)
+        return self._submit(request, run)
 
     # ------------------------------------------------------------------
     # introspection
@@ -261,8 +253,7 @@ class Tenant:
 class EnginePool:
     """The server's tenants: named workspaces with warm engines."""
 
-    def __init__(self, universes: Iterable[str] = ("paint", "geometry",
-                                                   "bcl")) -> None:
+    def __init__(self, universes: Iterable[str] = DEFAULT_UNIVERSES) -> None:
         self.tenants: Dict[str, Tenant] = {}
         self.chaos_spec: Optional[ChaosSpec] = None
         for key in universes:

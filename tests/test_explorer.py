@@ -83,6 +83,17 @@ class TestReplBrowsing:
 
 
 class TestCliTools:
+    def test_dump_universe_unwritable_path_is_usage_error(self, tmp_path):
+        output = []
+        code = cli_main(
+            ["dump-universe", "--universe", "paint",
+             "-o", str(tmp_path / "missing" / "x.json")],
+            write=output.append,
+        )
+        assert code == 2
+        [line] = output
+        assert line.startswith("error: ")
+
     def test_dump_universe(self, tmp_path):
         target = tmp_path / "paint.json"
         output = []

@@ -327,6 +327,14 @@ class TestSurfaces:
         assert "fuzz seed 4: 2 iteration(s)" in text
         assert "rank-stable" in text
 
+    def test_api_fuzz_validates_before_running(self, tmp_path):
+        from repro import api
+
+        for bad in ({"iterations": 0}, {"universes": ["nope"]},
+                    {"transforms": ["no_such_family"]}):
+            with pytest.raises(ValueError):
+                api.fuzz(out_dir=str(tmp_path), **bad)
+
     def test_api_fuzz(self, tmp_path):
         from repro import api
 

@@ -307,6 +307,55 @@ class TestRepl:
         _session, out = self.drive([":cache purge"])
         assert "usage: :cache" in out
 
+    def test_stats_prints_the_metrics_table(self):
+        from repro.obs.expo import render_metrics_table
+
+        session, out = self.drive([":let img Document", "img.?m",
+                                   ":stats"])
+        table = "\n".join(render_metrics_table(session.workspace.metrics()))
+        assert out.endswith(table)
+        assert "queries" in table
+
+    def test_stats_before_any_query(self):
+        _session, out = self.drive([":stats"])
+        assert "(no metrics recorded)" in out
+
+
+class TestCliReplParity:
+    """The CLI and the REPL render one query the same way: both call the
+    same scope builder, session and renderer."""
+
+    def repl(self, lines):
+        output = []
+        run_repl(Workspace.builtin("paint"), lines, output.append)
+        return output
+
+    def cli(self, argv):
+        output = []
+        code = cli_main(argv, write=output.append)
+        return code, output
+
+    def test_complete_renders_the_same_suggestions(self):
+        code, cli_lines = self.cli([
+            "complete", "--universe", "paint", "--let", "img=Document",
+            "img.?m"])
+        assert code == 0
+        repl_lines = self.repl([":let img Document", "img.?m"])
+        assert repl_lines[1] == "local img: PaintDotNet.Document"
+        assert repl_lines[2:] == cli_lines
+        assert cli_lines[0].startswith("  1. (score")
+
+    def test_lint_query_renders_the_same_findings(self):
+        _code, cli_lines = self.cli([
+            "lint", "--universe", "paint", "--query", "img.?m",
+            "--let", "img=Document"])
+        output = self.repl([":let img Document", ":lint"])
+        universe = output[2:]
+        output = self.repl([":let img Document", ":lint img.?m"])
+        query = [line for line in output[2:] if line != "(no findings)"]
+        assert sorted(cli_lines) == sorted(universe + query)
+        assert any(line.startswith("RA024") for line in query)
+
 
 class TestReplLoadEnter:
     SOURCE = """

@@ -517,6 +517,18 @@ class TestFacade:
             locals={"point": "DynamicGeometry.Point"})
         assert isinstance(diagnostics, list)
 
+    def test_facade_lint_reports_unknown_scope_type_as_ra021(self):
+        import repro
+
+        workspace = repro.open_workspace("paint")
+        diagnostics = repro.lint(
+            workspace, query="x.?m", locals={"x": "No.Such.Type"})
+        [finding] = [d for d in diagnostics if d.code == "RA021"]
+        assert finding.location == "x"
+        with pytest.raises(ValueError):
+            repro.complete(workspace, "x.?m",
+                           locals={"x": "No.Such.Type"})
+
     def test_status_round_trips_truncation(self):
         assert QueryStatus.from_truncation(None) is QueryStatus.OK
         for reason in ("timeout", "budget", "cancelled"):

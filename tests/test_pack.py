@@ -479,6 +479,21 @@ class TestServeFromPack:
         assert tenant.workspace.ts.fingerprint() == \
             Workspace.builtin("paint").ts.fingerprint()
 
+    def test_server_constructor_mounts_and_reports_packs(self, tmp_path):
+        from repro.serve import CompletionServer
+
+        path = str(tmp_path / "paint.pack")
+        build_pack("paint", path)
+        lines = []
+        server = CompletionServer(universes=(), packs=[path],
+                                  log=lines.append)
+        try:
+            assert lines == ["mounted pack {} as workspace "
+                             "'paintdotnet'".format(path)]
+            assert list(server.pool.tenants) == ["paintdotnet"]
+        finally:
+            server.pool.shutdown()
+
     def test_serve_packs_end_to_end(self, tmp_path):
         from repro.api import serve
         from repro.serve import ServeClient

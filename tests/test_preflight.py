@@ -402,6 +402,12 @@ class TestCliUnknownUniverse:
         ["lint", "--universe", "nope"],
         ["complete", "--universe", "nope", "?"],
         ["dump-universe", "--universe", "nope", "-o", "/dev/null"],
+        ["stats", "--universe", "nope"],
+        ["profile", "--universe", "nope"],
+        ["fuzz", "--universe", "nope"],
+        ["loadtest", "--universe", "nope"],
+        ["serve", "--universes", "paint,nope"],
+        ["impact", "--universe", "nope", "--type", "Document"],
     ])
     def test_exit_usage_with_one_line_error(self, argv):
         output = []

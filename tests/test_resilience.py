@@ -539,16 +539,30 @@ class TestCliResilience:
         assert "truncated" not in out
 
     def test_nonpositive_timeout_is_usage_error(self):
-        code, _out = self.run([
-            "complete", "--universe", "paint", "--timeout-ms", "0", "?",
-        ])
-        assert code == 2
+        for timeout in ("0", "-1"):
+            code, out = self.run([
+                "complete", "--universe", "paint", "--timeout-ms", timeout,
+                "?",
+            ])
+            assert code == 2
+            assert out.startswith("error: ")
 
     def test_nonpositive_budget_is_usage_error(self):
-        code, _out = self.run([
-            "complete", "--universe", "paint", "--budget", "-1", "?",
-        ])
-        assert code == 2
+        # the step budget and the result count are both budgets: every
+        # surface refuses a non-positive one with exit 2, never a
+        # traceback or an empty answer
+        for argv in (
+            ["complete", "--universe", "paint", "--budget", "-1", "?"],
+            ["complete", "--universe", "paint", "--budget", "0", "?"],
+            ["complete", "--universe", "paint", "-n", "-2", "?"],
+            ["complete", "--universe", "paint", "-n", "0", "?"],
+            ["stats", "--universe", "paint", "-n", "-1"],
+            ["profile", "--universe", "paint", "-n", "-1"],
+        ):
+            code, out = self.run(argv)
+            assert code == 2, argv
+            assert out.startswith("error: "), argv
+            assert "(no completions)" not in out
 
     def test_bad_this_type_is_reported_not_traceback(self):
         code, out = self.run([
@@ -753,3 +767,41 @@ class TestFaultSiteValidation:
         }
         assert sites  # chaos iterations exist
         assert sites <= set(faults.QUERY_SITES)
+
+
+class TestNonPositiveLimits:
+    """The REPL and the library refuse non-positive limits the way the
+    CLI does: one check, in the shared scope builder."""
+
+    @pytest.mark.parametrize("scope", [
+        {"n": 0}, {"n": -3}, {"timeout_ms": 0}, {"timeout_ms": -1},
+        {"max_steps": 0}, {"max_steps": -5},
+    ])
+    def test_library_raises_value_error(self, scope):
+        import repro
+
+        workspace = repro.open_workspace("paint")
+        with pytest.raises(ValueError, match="must be positive"):
+            repro.complete(workspace, "?", **scope)
+        with pytest.raises(ValueError, match="must be positive"):
+            repro.complete_many(workspace, ["?"], **scope)
+
+    def test_repl_reports_and_keeps_the_old_limit(self):
+        from repro.ide.repl import run_repl
+
+        output = []
+        session = run_repl(
+            Workspace.builtin("paint"),
+            [":n 4", ":n -3", ":timeout -5", ":budget 0"], output.append)
+        errors = [line for line in output if line.startswith("error: ")]
+        assert len(errors) == 3
+        assert all("must be positive" in line for line in errors)
+        assert session.n == 4
+        assert session.timeout_ms is None
+        assert session.step_budget is None
+
+    def test_server_refuses_nonpositive_default_deadline(self):
+        from repro.serve import CompletionServer
+
+        with pytest.raises(ValueError, match="must be positive"):
+            CompletionServer(universes=(), default_deadline_ms=0)
