@@ -27,22 +27,25 @@ dependency structure that makes *selective* invalidation sound:
   accepted nearly everywhere, and routing closures through them would
   collapse every footprint to the whole universe.  It is tracked
   per-entry instead, as the *accepting* half of a
-  :class:`QueryFootprint`, matched at invalidation time against
-  :func:`method_param_types` of the mutated set — the same trade the
-  paper's method index makes by bucketing on exact parameter types and
-  walking supertypes at query time.
+  :class:`QueryFootprint`, matched at invalidation time against the
+  parameter types the mutation log carries for each method edit — the
+  same trade the paper's method index makes by bucketing on exact
+  parameter types and walking supertypes at query time.
 
   A universe has one graph at a time, kept on its type system by
   :func:`dependency_graph` and shared by every engine, lint, ``impact``
   query and pack on it; member edits patch it, structural edits
   rebuild it.
 
-* :meth:`DependencyGraph.footprint` — the forward closure of a seed
-  set: every type a member-chain expansion rooted at those seeds can
-  read.  The completion cache records one :class:`QueryFootprint` per
-  entry at population time — direct signature reads, plus the closure
-  of any suffix-hole chain seeds, plus the accepting set — and drops
-  exactly the entries an edit intersects (:mod:`repro.engine.cache`).
+* :meth:`DependencyGraph.chain_reads` — the types a suffix-hole chain
+  of at most ``s`` member lookups from a seed type can read: the
+  seed's supertype closure, then ``s - 1`` rounds of member result
+  types, each closed over supertypes.  The completion cache records
+  one :class:`QueryFootprint` per entry at population time — direct
+  signature reads, plus the chain reads of any suffix-hole seeds, plus
+  the accepting set — and drops exactly the entries an edit
+  intersects (:mod:`repro.engine.cache`).  :meth:`DependencyGraph.closure`
+  is the unbounded forward closure (packs persist it).
 
 * :meth:`DependencyGraph.impact` — the reverse direction, as a
   queryable :class:`ImpactReport`: "which root pools, shared streams,
@@ -60,20 +63,39 @@ score depends only on the expression shape, the ranking config,
 supertype distances, and the query context — so a member-level edit can
 only change entries whose expansion *read* the edited type's member
 lists.  The types a bounded search reads are the signatures the
-expression names directly plus, for suffix-hole nodes, every type a
-member chain from the receiver can step into — the ``reads`` set a
-:class:`QueryFootprint` records (direct reads, plus the forward closure
-of chain seeds).  Second, the one way an edit creates completions for
-an entry that never read it is a new or reordered method ``m(P)``
+expression names directly plus, for suffix-hole nodes, every type whose
+member list a chain from the receiver looks up — the ``reads`` set a
+:class:`QueryFootprint` records (direct reads, plus the chain reads of
+the seeds).  Second, the one way an edit creates completions for an
+entry that never read it is a new or reordered method ``m(P)``
 becoming an unknown-call candidate; ``methods_accepting`` only finds
 ``m`` via an argument type converting to ``P``, so the entry's
-``accepting`` set (argument supertype closures) contains ``P``, and
-:func:`method_param_types` of the *method-mutated* set (the mutation
-log flags which edits touched a method list — field and property edits
-cannot mint candidates) contains ``P`` too — the intersection test
-catches it.  Structural edits (registration, ``base``/``interfaces``
-re-pointing) carry no origin in the mutation log and force the coarse
-path.
+``accepting`` set (argument supertype closures) contains ``P``, and the
+mutation log records ``P`` with the edit — every parameter type of the
+added method, or of all the type's methods for a reorder, the receiver
+included, since the paper treats the receiver as the first argument
+(field and property edits carry none: they cannot mint candidates) —
+so the intersection test catches it.  Structural edits (registration,
+``base``/``interfaces`` re-pointing) carry no origin in the mutation log
+and force the coarse path.
+
+Why a chain of ``s`` steps reads nothing past ``s - 1`` rounds: nested
+suffix holes (``b.Width.?m.?m``) unwrap to the innermost statically
+typed receiver with their steps summed — 1 per ``.?f``/``.?m``,
+``max_chain_depth`` per ``.?*``.  The chain looks up the member lists
+of the values it holds after 0 .. ``s - 1`` steps and never of the
+values after the last step.  Each lookup (``instance_lookups``,
+``zero_arg_instance_methods``) reads the value type's declared members
+and its supertypes' inherited ones, hence the supertype closure per
+round.  Everything else a chain consults is structural —
+``lookup_step_cost`` and the target check ``_fits`` are type
+distances, ``comparable`` is flags and distances — and moves only
+under structural edits, which invalidate coarsely.  Reachability
+pruning, ``can_reach(result, target, remaining)`` for a value after
+``k`` steps, asks for a shortest chain of at most ``s - k`` further
+lookups, so it reads member lists after ``k`` .. ``s - 1`` steps and no
+deeper.  A type outside the chain reads is therefore never looked up,
+and an edit to it cannot change the entry.
 """
 
 from __future__ import annotations
@@ -134,16 +156,20 @@ _CORE_TYPES = frozenset(
 def method_param_types(
     ts: TypeSystem, names: Iterable[str]
 ) -> FrozenSet[str]:
-    """The parameter types of the named types' *current* methods — the
-    surface through which a member-level edit can have *introduced*
-    completions into queries that never read the edited type.
+    """The parameter types, receivers included, of the named types'
+    *current* methods — the surface through which a method edit to one
+    of them could *introduce* completions into queries that never read
+    the edited type: the static dual of the parameter types the
+    mutation log carries for an actual edit.
 
     A method added to type ``T`` with a parameter of type ``P`` becomes
     a candidate only for unknown-call queries whose argument converts to
     ``P`` — and every such query's recorded *accepting* set contains
     ``P`` (accepting sets close over argument supertypes, and
     ``methods_accepting`` only finds ``m`` via a type converting to
-    ``P``).  Pre-existing parameter types over-approximate harmlessly.
+    ``P``).  An instance method's receiver is its first parameter
+    (:meth:`~repro.codemodel.members.Method.all_params`), so ``T``
+    itself is one such ``P``.
     """
     params: Set[str] = set()
     for name in names:
@@ -151,7 +177,7 @@ def method_param_types(
         if typedef is None:
             continue
         for method in typedef.methods:
-            for param in method.params:
+            for param in method.all_params():
                 params.add(param.type.full_name)
     return frozenset(params)
 
@@ -171,15 +197,15 @@ class QueryFootprint:
 
     ``reads`` is every type whose *member lists* the bounded search can
     have read: the signatures the expression names directly, plus the
-    forward dependency closure of any suffix-hole chain seeds.
-    ``accepting`` is the supertype closure of the query's unknown-call
-    argument types: the parameter types through which a *newly added*
-    method anywhere in the universe could become a candidate for this
-    entry (empty for queries without an unknown call).  The cache drops
-    an entry when ``reads`` meets the raw mutated set or ``accepting``
-    meets the *method-mutated* types' method parameter types
-    (:func:`method_param_types`) — the two halves of the soundness
-    argument in the module docstring.
+    chain reads (:meth:`DependencyGraph.chain_reads`) of any suffix-hole
+    seeds.  ``accepting`` is the supertype closure of the query's
+    unknown-call argument types: the parameter types through which a
+    *newly added* method anywhere in the universe could become a
+    candidate for this entry (empty for queries without an unknown
+    call).  The cache drops an entry when ``reads`` meets the raw
+    mutated set or ``accepting`` meets the parameter types the mutation
+    log carries for the window's method edits — the two halves of the
+    soundness argument in the module docstring.
     """
 
     reads: FrozenSet[str]
@@ -197,18 +223,20 @@ class QueryFootprint:
 
 
 def footprint_seeds(
-    pe: Expr,
-) -> Optional[Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]]:
-    """``(read_types, chain_seed_types, accepting_arg_types)`` for a
-    partial expression, or ``None`` when its completion search is
+    pe: Expr, star_steps: int
+) -> Optional[
+    Tuple[FrozenSet[str], FrozenSet[Tuple[str, int]], FrozenSet[str]]
+]:
+    """``(read_types, chain_seeds, accepting_arg_types)`` for a partial
+    expression, or ``None`` when its completion search is
     universe-wide.
 
     ``None`` — forcing the cache to drop the entry on every fine-grained
     invalidation — is returned whenever the expression contains a bare
     :class:`Hole` (its expansion enumerates every global chain root), an
     unknown call whose arguments are all wildcards (every method is a
-    candidate), or a node kind this walker does not recognise
-    (conservative default).
+    candidate), a suffix hole with no statically typed receiver, or a
+    node kind this walker does not recognise (conservative default).
 
     The three sets distinguish *how* the search can depend on a type:
 
@@ -217,28 +245,37 @@ def footprint_seeds(
       known candidate's signature).  Completing the node never opens
       other types' member lists through them, so they need **no**
       closure — only an edit to the named type itself matters.
-    * ``chain_seed_types`` — receiver types of ``.?``/``.?*`` suffix
-      holes, whose expansion *does* walk member chains outward.
-      Consumers take the forward dependency closure of these (chain
-      steps follow member-signature edges, inherited members follow
-      supertype edges).
+    * ``chain_seeds`` — ``(receiver type, steps)`` for each suffix-hole
+      chain: the innermost statically typed receiver under nested
+      ``.?``/``.?*`` holes, and the most member lookups the chain can
+      take from it (1 per ``.?f``/``.?m``, ``star_steps`` — the
+      engine's ``max_chain_depth`` — per ``.?*``).  Consumers take
+      :meth:`DependencyGraph.chain_reads` of each.
     * ``accepting_arg_types`` — unknown-call argument types, through
       which a newly added method anywhere becomes a candidate without
       being read.  Consumers close them over supertypes and match them
-      against :func:`method_param_types` of the method-mutated set.
+      against the parameter types the mutation log carries.
     """
     reads: Set[str] = set()
-    chains: Set[str] = set()
+    chains: Set[Tuple[str, int]] = set()
     accepting: Set[str] = set()
-    if _collect_seeds(pe, reads, chains, accepting):
+    if _collect_seeds(pe, star_steps, reads, chains, accepting):
         return frozenset(reads), frozenset(chains), frozenset(accepting)
     return None
 
 
 def _collect_seeds(
-    pe: Expr, reads: Set[str], chains: Set[str], accepting: Set[str]
+    pe: Expr,
+    star_steps: int,
+    reads: Set[str],
+    chains: Set[Tuple[str, int]],
+    accepting: Set[str],
 ) -> bool:
     """Accumulate seeds for one node; False = universe-wide search."""
+
+    def collect(node: Expr) -> bool:
+        return _collect_seeds(node, star_steps, reads, chains, accepting)
+
     if isinstance(pe, Hole):
         return False
     if isinstance(pe, (Unfilled, Literal)):
@@ -257,18 +294,21 @@ def _collect_seeds(
         if member.declaring_type is not None:
             reads.add(member.declaring_type.full_name)
         reads.add(member.type.full_name)
-        return _collect_seeds(pe.base, reads, chains, accepting)
+        return collect(pe.base)
     if isinstance(pe, Call):
         _method_seeds(pe.method, reads)
-        return all(
-            _collect_seeds(arg, reads, chains, accepting) for arg in pe.args
-        )
+        return all(collect(arg) for arg in pe.args)
     if isinstance(pe, SuffixHole):
-        base_type = _static_type(pe.base)
+        steps = 0
+        base: Expr = pe
+        while isinstance(base, SuffixHole):
+            steps += star_steps if base.star else 1
+            base = base.base
+        base_type = _static_type(base)
         if base_type is None:
             return False
-        chains.add(base_type.full_name)
-        return _collect_seeds(pe.base, reads, chains, accepting)
+        chains.add((base_type.full_name, steps))
+        return collect(base)
     if isinstance(pe, UnknownCall):
         typed = [arg.type for arg in pe.args if arg.type is not None]
         if not typed:
@@ -276,23 +316,16 @@ def _collect_seeds(
             # candidate, so no bounded accepting set exists
             return False
         accepting.update(t.full_name for t in typed)
-        return all(
-            _collect_seeds(arg, reads, chains, accepting) for arg in pe.args
-        )
+        return all(collect(arg) for arg in pe.args)
     if isinstance(pe, KnownCall):
         # candidates are resolved at parse time and embedded in the
         # cache key, so newly added methods cannot enter this entry —
         # no accepting sensitivity
         for method in pe.candidates:
             _method_seeds(method, reads)
-        return all(
-            _collect_seeds(arg, reads, chains, accepting) for arg in pe.args
-        )
+        return all(collect(arg) for arg in pe.args)
     if isinstance(pe, (PartialAssign, PartialCompare, Assign, Compare)):
-        return (
-            _collect_seeds(pe.lhs, reads, chains, accepting)
-            and _collect_seeds(pe.rhs, reads, chains, accepting)
-        )
+        return collect(pe.lhs) and collect(pe.rhs)
     return False
 
 
@@ -445,6 +478,23 @@ def _forward_edges(ts: TypeSystem, typedef: TypeDef) -> Set[str]:
     return edges
 
 
+def _member_results(typedef: TypeDef) -> FrozenSet[str]:
+    """The types one chain step out of ``typedef`` can produce: its
+    declared instance fields' and properties' types and its declared
+    zero-argument instance methods' return types (inherited members are
+    its supertypes' results)."""
+    results = {
+        member.type.full_name
+        for member in typedef.declared_lookups() if not member.is_static
+    }
+    results.update(
+        method.return_type.full_name for method in typedef.methods
+        if not method.is_static and not method.params
+        and method.return_type is not None
+    )
+    return frozenset(results)
+
+
 class DependencyGraph:
     """The static dependency structure of one universe snapshot.
 
@@ -453,8 +503,10 @@ class DependencyGraph:
     closure memos filling in.  :func:`dependency_graph` keeps one graph
     per universe current: a member-level edit window makes a patched
     copy that recomputes only the edited types' forward edges; a
-    structural edit rebuilds.  Closure queries are memoised per name,
-    so repeated footprint computations over a warm engine stay cheap.
+    structural edit rebuilds.  Closure queries are memoised per name
+    (chain reads per name and round count), so repeated footprint
+    computations over a warm engine — or over a fresh engine per query
+    on the same universe — stay cheap.
     """
 
     def __init__(
@@ -468,6 +520,11 @@ class DependencyGraph:
         self._lattice: Dict[str, Set[str]] = {}
         self._closure_memo: Dict[str, FrozenSet[str]] = {}
         self._reverse_memo: Dict[str, FrozenSet[str]] = {}
+        #: per-type member result types (:func:`_member_results`), filled
+        #: by :meth:`chain_reads` on first use
+        self._results: Dict[str, FrozenSet[str]] = {}
+        #: :meth:`chain_reads` per (name, rounds)
+        self._chain_memo: Dict[Tuple[str, int], FrozenSet[str]] = {}
         self._partition_of: Dict[str, Set[int]] = {}
         self._partition_members: Dict[int, Set[str]] = {}
         #: pack-restored closures, still int-encoded (csv of indexes into
@@ -514,6 +571,8 @@ class DependencyGraph:
         self._lattice = lattice
         self._closure_memo = {}
         self._reverse_memo = {}
+        self._results = {}
+        self._chain_memo = {}
         self._partition_of = {}
         self._partition_members = dict(partition_members or {})
         for root, members in self._partition_members.items():
@@ -550,8 +609,10 @@ class DependencyGraph:
         """A copy at the current version after member-level edits of
         ``mutated`` (never structural ones: the lattice is shared).
 
-        Only the mutated types' forward edges are recomputed.  When none
-        changed, the copy shares every map and memo with this graph;
+        Only the mutated types' forward edges and member result types are
+        recomputed.  The copy keeps the chain-read memos that contain no
+        type whose member result types changed.  When no forward edge
+        changed, it shares every other map and memo with this graph;
         otherwise it gets its own forward and reverse maps with only the
         changed entries replaced, keeps the closure memos that contain
         no changed type, and starts without reverse memos or
@@ -562,6 +623,8 @@ class DependencyGraph:
         ts = self.ts
         ts.fingerprint()  # the RA104 baseline at the new version
         changed: Dict[str, Set[str]] = {}
+        results = dict(self._results)
+        results_changed: Set[str] = set()
         for name in mutated:
             typedef = ts.try_get(name)
             if typedef is None:
@@ -569,10 +632,22 @@ class DependencyGraph:
             edges = _forward_edges(ts, typedef)
             if edges != self._forward.get(name, set()):
                 changed[name] = edges
+            # a chain memo that looked up this type's members recorded its
+            # result types here, so only recorded entries can be stale
+            if name in results:
+                fresh = _member_results(typedef)
+                if fresh != results[name]:
+                    results[name] = fresh
+                    results_changed.add(name)
         graph = copy.copy(self)
         graph.built_version = ts.version
         graph._partition_of = {}
         graph._partition_members = {}
+        graph._results = results
+        graph._chain_memo = {
+            key: reads for key, reads in self._chain_memo.items()
+            if reads.isdisjoint(results_changed)
+        }
         if not changed:
             return graph
         forward = dict(self._forward)
@@ -686,22 +761,80 @@ class DependencyGraph:
         memo[name] = result
         return result
 
-    def footprint(self, seed_names: Iterable[str]) -> FrozenSet[str]:
-        """Union of the forward closures of the seeds: everything a
-        query rooted at them can read.  This is what cache entries
-        record at population time."""
+    def chain_reads(self, name: str, steps: int) -> FrozenSet[str]:
+        """Every type whose member lists a chain of at most ``steps``
+        member lookups from a ``name`` receiver can read: the supertype
+        closure of ``name``, then ``steps - 1`` rounds of member result
+        types, each closed over supertypes (the module docstring argues
+        why nothing deeper is read).  Memoised per ``(name, steps -
+        1)``; the result types are read from the type system, so ask
+        the current graph (:func:`dependency_graph`)."""
+        if steps <= 0:
+            return frozenset()
+        key = (name, steps - 1)
+        cached = self._chain_memo.get(key)
+        if cached is not None:
+            return cached
+        reached: Set[str] = set()
+        frontier = self._close_up((name,), reached)
+        for _ in range(steps - 1):
+            if not frontier:
+                break
+            frontier = self._close_up(
+                [result for current in frontier
+                 for result in self._results_of(current)],
+                reached)
+        result = frozenset(reached)
+        self._chain_memo[key] = result
+        return result
+
+    def _results_of(self, name: str) -> FrozenSet[str]:
+        results = self._results.get(name)
+        if results is None:
+            typedef = self.ts.try_get(name)
+            results = self._results[name] = (
+                _member_results(typedef) if typedef is not None
+                else frozenset())
+        return results
+
+    def _close_up(self, names: Iterable[str], reached: Set[str]) -> List[str]:
+        """Add the supertype closures of ``names`` to ``reached`` (which
+        is closed under supertypes already); the names newly added."""
+        added: List[str] = []
+        for name in names:
+            if name in reached:
+                continue
+            typedef = self.ts.try_get(name)
+            if typedef is None:
+                reached.add(name)
+                added.append(name)
+                continue
+            for parent in self.ts.supertype_order(typedef):
+                parent_name = parent.full_name
+                if parent_name not in reached:
+                    reached.add(parent_name)
+                    added.append(parent_name)
+        return added
+
+    def footprint(
+        self, seeds: Iterable[Tuple[str, int]]
+    ) -> FrozenSet[str]:
+        """Union of the chain reads of ``(name, steps)`` seeds
+        (:func:`footprint_seeds`): every type whose member lists the
+        suffix-hole chains rooted at them can read.  This is what cache
+        entries record at population time."""
         result: Set[str] = set()
-        for name in seed_names:
-            result |= self.closure(name)
+        for name, steps in seeds:
+            result |= self.chain_reads(name, steps)
         return frozenset(result)
 
     def dependents_of(self, names: Iterable[str]) -> FrozenSet[str]:
         """Every type whose cached completions an edit to ``names`` can
         invalidate — the static dual of the cache's two-part drop test:
         the reverse closure of the raw names (queries that *read* the
-        edited types) plus every type converting to a parameter type of
-        the edited types' methods (queries whose unknown-call arguments
-        could pick up a newly added method)."""
+        edited types) plus every type converting to a parameter type,
+        receiver included, of the edited types' methods (queries whose
+        unknown-call arguments could pick up a newly added method)."""
         result: Set[str] = set()
         for name in names:
             result |= self.reverse_closure(name)

@@ -13,7 +13,9 @@ directly and registered with a :class:`repro.codemodel.typesystem.TypeSystem`.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .members import Field, Method, Property
@@ -174,7 +176,9 @@ class TypeDef:
     # member management
     # ------------------------------------------------------------------
     def _invalidate(
-        self, structural: bool = False, methods: bool = False
+        self,
+        structural: bool = False,
+        methods: Optional[Iterable["Method"]] = None,
     ) -> None:
         """Report a mutation to the owning registry.
 
@@ -183,15 +187,20 @@ class TypeDef:
         dependency footprint touches it; structural edits (supertype-edge
         changes) carry no origin, forcing the coarse path — they can move
         type distances between arbitrary pairs of types.  ``methods``
-        flags edits that may have changed this type's method list — the
-        only member edits able to mint or re-rank unknown-call candidates
-        (field and property edits can only be *read*).
+        lists the methods an edit added or reordered — the only member
+        edits able to mint or re-rank unknown-call candidates (field and
+        property edits can only be *read*); the log records their
+        parameter types, receivers included.
         """
         self._member_cache = None
         if self._registry is not None:
+            params = None
+            if methods is not None:
+                params = frozenset(
+                    param.type.full_name
+                    for method in methods for param in method.all_params())
             self._registry._invalidate_caches(
-                None if structural else self,
-                methods_changed=structural or methods)
+                None if structural else self, params=params)
 
     def add_field(self, field: "Field") -> "Field":
         field.declaring_type = self
@@ -208,7 +217,7 @@ class TypeDef:
     def add_method(self, method: "Method") -> "Method":
         method.declaring_type = self
         self.methods.append(method)
-        self._invalidate(methods=True)
+        self._invalidate(methods=(method,))
         return method
 
     def set_member_order(
@@ -244,7 +253,7 @@ class TypeDef:
             current[:] = replacement
         # a method reorder changes declaration order, the tie-break among
         # equal-scoring same-name candidates — flag it like an addition
-        self._invalidate(methods=methods is not None)
+        self._invalidate(methods=None if methods is None else self.methods)
 
     # ------------------------------------------------------------------
     # member lookup (declared members only; inherited lookup lives in the

@@ -36,6 +36,10 @@ _PRIMITIVE_WIDENINGS: Dict[str, Tuple[str, ...]] = {
     "bool": (),
 }
 
+#: one mutation-log entry: (version, origin full name or ``None`` for a
+#: structural edit, method parameter types or ``None``)
+_LogEntry = Tuple[int, Optional[str], Optional[FrozenSet[str]]]
+
 #: Numeric primitives, used for comparability checks.
 _NUMERIC_PRIMITIVES = frozenset(
     ["byte", "char", "short", "int", "long", "float", "double", "decimal"]
@@ -67,9 +71,10 @@ class TypeSystem:
         self._closure_cache: Dict[str, FrozenSet[TypeDef]] = {}
         self._lookup_cache: Dict[str, Tuple[Field, ...]] = {}
         self._method_cache: Dict[str, Tuple[Method, ...]] = {}
-        #: (version, origin full name or None for structural,
-        #: methods_changed) per mutation
-        self._mutation_log: "deque[Tuple[int, Optional[str], bool]]" = deque(
+        #: (version, origin full name or None for structural, params) per
+        #: mutation; ``params`` is ``None`` unless the edit touched a method
+        #: list (see :meth:`_invalidate_caches`)
+        self._mutation_log: "deque[_LogEntry]" = deque(
             maxlen=self.MUTATION_LOG_LIMIT)
         self._fingerprint_memo: Optional[Tuple[int, str]] = None
         #: per-type fingerprint line bytes, keyed by full name; a member
@@ -159,7 +164,7 @@ class TypeSystem:
     def _invalidate_caches(
         self,
         origin: Optional[TypeDef] = None,
-        methods_changed: bool = True,
+        params: Optional[FrozenSet[str]] = None,
     ) -> None:
         """Bump the version and drop memoised queries.
 
@@ -168,12 +173,14 @@ class TypeSystem:
         records a *structural* edit (registration, re-pointed ``base`` or
         ``interfaces``) for which consumers must fall back to coarse
         invalidation — structural edits move type distances globally.
-        ``methods_changed`` records whether the edit may have changed the
-        origin's *method list* (additions or reorders): only such edits
-        can mint or re-rank unknown-call candidates, so consumers that
+        ``params`` is ``None`` for field- and property-only edits; for an
+        edit that may have changed the origin's *method list* (an
+        addition or a reorder) it names the parameter types, receivers
+        included, of the methods the edit touched.  Only such edits can
+        mint or re-rank unknown-call candidates, and only for queries
+        whose arguments convert to one of those types, so consumers that
         track candidate sensitivity separately (the completion cache's
-        *accepting* footprints, the method index) can skip field- and
-        property-only edits.  ``True`` is the conservative default.
+        *accepting* footprints, the method index) can skip the rest.
         """
         self._version += 1
         if origin is None:
@@ -191,12 +198,10 @@ class TypeSystem:
         self._mutation_log.append(
             (self._version,
              origin.full_name if origin is not None else None,
-             methods_changed)
+             params)
         )
 
-    def _mutation_window(
-        self, version: int
-    ) -> Optional[List[Tuple[int, Optional[str], bool]]]:
+    def _mutation_window(self, version: int) -> Optional[List[_LogEntry]]:
         """The log entries after ``version``, or ``None`` when the window
         cannot be answered precisely (future version, truncated log, or a
         structural edit inside the window)."""
@@ -238,8 +243,25 @@ class TypeSystem:
         if entries is None:
             return None
         return frozenset(
-            name for _, name, methods_changed in entries if methods_changed
+            name for _, name, params in entries if params is not None
         )
+
+    def method_params_since(self, version: int) -> Optional[FrozenSet[str]]:
+        """The parameter types, receivers included, of the methods the
+        method-list edits after ``version`` touched (the union of the
+        window's logged ``params``): the only types through which those
+        edits can have minted or re-ranked an unknown-call candidate.
+        ``None`` exactly when :meth:`mutations_since` is ``None``."""
+        if version == self._version:
+            return frozenset()
+        entries = self._mutation_window(version)
+        if entries is None:
+            return None
+        result: Set[str] = set()
+        for _, _, params in entries:
+            if params is not None:
+                result |= params
+        return frozenset(result)
 
     @property
     def version(self) -> int:

@@ -29,15 +29,16 @@ type system *which* types changed (``TypeSystem.mutations_since``):
 * **fine-grained**: when every mutation in the window was member-level, the
   cache drops only the entries whose recorded
   :class:`~repro.analysis.deps.QueryFootprint` an edit can reach —
-  either the entry's **reads** closure (the universe's shared
-  :class:`~repro.analysis.deps.DependencyGraph` forward closure of its
-  seed types, captured at population time) meets the mutated names, or
-  its **accepting** set (unknown-call argument supertype closures)
-  meets the mutated types' method parameter types
-  (:func:`~repro.analysis.deps.method_param_types`) — the path by which
-  a method newly added to a previously-unrelated type becomes a
-  candidate.  Entries with no footprint (``None``: hole queries that
-  can read the whole universe) are always dropped.  The entries to drop
+  either the entry's **reads** (its direct signature reads plus the
+  universe's shared :class:`~repro.analysis.deps.DependencyGraph` chain
+  reads of its suffix-hole seeds, captured at population time) meet the
+  mutated names, or its **accepting** set (unknown-call argument
+  supertype closures) meets the parameter types, receivers included,
+  that the mutation log carries for the window's method edits
+  (``TypeSystem.method_params_since``) — the path by which a method
+  newly added to a previously-unrelated type becomes a candidate.
+  Entries with no footprint (``None``: hole queries that can read the
+  whole universe) are always dropped.  The entries to drop
   are found through an inverted index kept beside the footprints (read
   name → entries, accepting name → entries, plus the universe-wide
   entries), so a fine pass costs what it drops, not what the cache
@@ -92,7 +93,7 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.deps import QueryFootprint, method_param_types
+from ..analysis.deps import QueryFootprint
 from ..analysis.scope import Context
 from ..codemodel.typesystem import TypeSystem
 from .streams import Materialized, Scored
@@ -309,16 +310,15 @@ class CompletionCache:
         """Drop exactly the entries a member-level mutation window can
         have affected.  Caller holds the lock.
 
-        The accepting half of the drop test only fires for types whose
-        *method list* changed inside the window: field and property
-        edits cannot mint unknown-call candidates, so matching their
-        declaring type's pre-existing method parameters (``Object``,
-        ``string``, ... on almost any type) would needlessly gut the
-        accepting entries on every edit."""
-        method_mutated = ts.method_mutations_since(self._version)
-        params = method_param_types(
-            ts, method_mutated if method_mutated is not None else mutated
-        )
+        The accepting half of the drop test matches only the parameter
+        types the log carries for the window's method edits: those of an
+        added method, or of every method of a type whose methods were
+        reordered.  Field and property edits carry none — they cannot
+        mint unknown-call candidates — and a type's other, pre-existing
+        methods (taking ``Object``, ``string``, ... on almost any type)
+        cannot become new candidates either, so matching them would
+        needlessly gut the accepting entries on every edit."""
+        params = ts.method_params_since(self._version)
         hit = self._stream_fp.affected(mutated, params)
         for key in hit:
             del self._streams[key]

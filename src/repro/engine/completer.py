@@ -345,12 +345,13 @@ class CompletionEngine:
     def _footprint(self, pe: Expr, target: Optional[TypeDef] = None):
         """The :class:`~repro.analysis.deps.QueryFootprint` of a
         cacheable stream for ``pe`` — its directly-read signature types,
-        the forward closure of any suffix-hole chain seeds, and the
-        supertype closure of any unknown-call argument types — or
-        ``None`` when the search is universe-wide (hole queries)."""
+        the chain reads of any suffix-hole seeds (a ``.?*`` hole takes
+        up to ``max_chain_depth`` lookups), and the supertype closure of
+        any unknown-call argument types — or ``None`` when the search is
+        universe-wide (hole queries)."""
         from ..analysis.deps import QueryFootprint, footprint_seeds
 
-        parts = footprint_seeds(pe)
+        parts = footprint_seeds(pe, self.config.max_chain_depth)
         if parts is None:
             return None
         reads, chains, accepting = parts
@@ -769,11 +770,14 @@ class CompletionEngine:
         recomputed from the expression, so a cache-replayed outcome
         explains identically to a cold one (the breakdown is just
         marked ``cached``).  With ``rank`` given, only that 1-based
-        rank is returned (empty list when out of range).
+        rank is returned (empty list when out of range).  Explaining
+        records no query: the metrics and the run log count only the
+        queries asked, so explaining an answer already shown does not
+        count it twice.
         """
-        outcome = self.complete_query(
-            pe, context, n=n, abstypes=abstypes,
-            expected_type=expected_type, keyword=keyword, budget=budget,
+        outcome = self._run_query(
+            pe, context, n, abstypes, expected_type, keyword, budget,
+            strict=False, tracer=None,
         )
         ranker = Ranker(context, self.config.ranking, abstypes)
         explained = [

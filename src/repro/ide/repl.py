@@ -55,6 +55,7 @@ Commands (everything else is treated as a partial expression)::
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable
 
 from .session import CompletionSession, render_record, require_positive
@@ -385,12 +386,15 @@ def _query(session: CompletionSession, line: str, write) -> None:
 
 
 def main(workspace: Workspace, write=print) -> None:  # pragma: no cover
-    """Run the REPL on standard input until EOF or ``:quit``."""
+    """Run the REPL on standard input until EOF or ``:quit``.  The
+    ``pe> `` prompt is shown only when stdin is a terminal, so a scripted
+    session's output holds whole result lines."""
+    prompt = "pe> " if sys.stdin.isatty() else ""
 
     def stdin_lines():
         while True:
             try:
-                yield input("pe> ")
+                yield input(prompt)
             except EOFError:
                 return
 

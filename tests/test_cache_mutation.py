@@ -14,6 +14,7 @@ entries, attributed in ``CacheStats``.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codemodel.members import Field, Method, Parameter
 from repro.engine.completer import (
@@ -24,6 +25,9 @@ from repro.engine.completer import (
 from repro.fuzz.oracles import check_mutation_outcomes
 from repro.ide.workspace import Workspace
 from repro.lang.parser import parse
+from repro.lang.printer import to_source
+
+from .test_incremental import _pristine, _rotated
 
 
 def _requests(workspace, context, sources, n=10):
@@ -236,11 +240,81 @@ class TestScalingPreservation:
         assert preserved / (preserved + dropped) >= 0.8
 
 
+def _member_owners(ts):
+    return sorted(
+        (t for t in ts.all_types()
+         if not t.is_primitive and (t.fields or t.properties or t.methods)),
+        key=lambda t: t.full_name)
+
+
+def _chain_neighbourhood(ts, typedef, steps):
+    """Types a chain of at most ``steps`` lookups from ``typedef``
+    reaches, with their supertypes, minus ``typedef``'s own supertypes:
+    where an edit changes only the longer chains of a ``typedef``
+    receiver.  Walked here with the type system's lookups, independently
+    of the dependency graph."""
+    reached = set(ts.supertype_closure(typedef))
+    frontier = list(reached)
+    for _ in range(steps):
+        step = set()
+        for current in frontier:
+            step.update(member.type for member in ts.instance_lookups(current))
+            step.update(method.return_type
+                        for method in ts.zero_arg_instance_methods(current)
+                        if method.return_type is not None)
+        closed = set()
+        for result in step:
+            closed |= ts.supertype_closure(result)
+        frontier = list(closed - reached)
+        reached |= closed
+    near = reached - ts.supertype_closure(typedef)
+    return sorted((t for t in near if not t.is_primitive),
+                  key=lambda t: t.full_name)
+
+
+#: one drawn edit: (kind, target pick, member-type pick)
+TARGETED_EDIT = st.tuples(
+    st.integers(0, 4), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+
+
+def _apply_targeted_edit(ts, receiver, edit, serial):
+    """Kinds 0-1 edit anywhere (a field; a method taking some type);
+    kind 2 adds an instance method to a supertype of ``receiver``'s type
+    (the receiver channel of unknown calls); kinds 3-4 add a field to,
+    or reorder the members of, a type one or two chain steps from it."""
+    kind, pick, type_pick = edit
+    owners = _member_owners(ts)
+    member_type = owners[type_pick % len(owners)]
+    if kind == 0:
+        owners[pick % len(owners)].add_field(
+            Field("zzF{}".format(serial), member_type))
+    elif kind == 1:
+        owners[pick % len(owners)].add_method(Method(
+            "ZzM{}".format(serial), return_type=ts.string_type,
+            params=[Parameter("x", member_type)]))
+    elif kind == 2:
+        supers = [t for t in ts.supertype_order(receiver)
+                  if not t.is_primitive]
+        supers[pick % len(supers)].add_method(Method(
+            "ZzRecv{}".format(serial), return_type=member_type))
+    else:
+        near = _chain_neighbourhood(ts, receiver, 2) or owners
+        target = near[pick % len(near)]
+        if kind == 3:
+            target.add_field(Field("zzNear{}".format(serial), member_type))
+        else:
+            target.set_member_order(
+                fields=_rotated(target.fields, type_pick),
+                methods=_rotated(target.methods, type_pick))
+
+
 class TestWarmFineMatchesColdEngine:
     """The PR 6 mutation oracle replayed against the fine-grained cache:
     after deterministic member edits, a warm engine (footprint-preserved
     entries and all) must answer exactly like a cold one, across every
-    builtin universe and three seeds."""
+    builtin universe and three seeds — and, with drawn receivers and
+    edits aimed at what chains and unknown calls read, after every edit
+    of a Hypothesis-drawn sequence."""
 
     SOURCES = ["a.?f", "a.?*m", "b.?m", "?({a, b})"]
 
@@ -278,6 +352,62 @@ class TestWarmFineMatchesColdEngine:
         warm_outcomes = workspace.complete_many(
             _requests(workspace, context, self.SOURCES))
         _check_against_cold(ts, context, self.SOURCES, warm_outcomes)
+
+
+    #: nested and paired chains (bounded chain reads) and a one-argument
+    #: unknown call (the receiver channel) besides the seeded sources
+    DRAWN_SOURCES = SOURCES + [
+        "?({a})", "a.?m.?m", "a.?f.?f", "a.?m < b.?m"]
+
+    @pytest.mark.parametrize("universe", sorted(Workspace.BUILTIN))
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+           edits=st.lists(TARGETED_EDIT, min_size=1, max_size=4))
+    def test_warm_equals_cold_after_drawn_edits(self, universe, picks, edits):
+        ts = _pristine(universe)
+        workspace = Workspace(ts, name=universe)
+        types = _member_owners(ts)
+        first = types[picks[0] % len(types)]
+        second = types[picks[1] % len(types)]
+        context = workspace.context(locals={"a": first, "b": second})
+        engine = workspace.engine
+        sources = self.DRAWN_SOURCES
+        for source in sources:
+            engine.complete_query(parse(source, context), context, n=30)
+        for serial, edit in enumerate(edits):
+            _apply_targeted_edit(ts, first, edit, serial)
+            warm = [engine.complete_query(parse(source, context), context,
+                                          n=30)
+                    for source in sources]
+            _check_against_cold(ts, context, sources, warm, n=30)
+
+
+class TestReceiverChannel:
+    """An instance method added to a supertype of an unknown-call
+    argument's type takes that argument as its receiver: the edit must
+    drop the warm ``?({x})`` entry, though the entry never read the
+    edited type's members."""
+
+    @pytest.mark.parametrize("universe, local, supertype", [
+        ("bcl", "System.ArgumentException", "System.Exception"),
+        ("paint", "PaintDotNet.BitmapLayer", "PaintDotNet.Layer"),
+        ("geometry", "DynamicGeometry.ArcShape", "DynamicGeometry.Shape"),
+    ])
+    def test_method_on_a_supertype_reaches_the_warm_answer(
+            self, universe, local, supertype):
+        workspace = Workspace.builtin(universe)
+        ts = workspace.ts
+        context = workspace.context(locals={"x": ts.get(local)})
+        sources = ["?({x})"]
+        workspace.complete_many(_requests(workspace, context, sources))
+        ts.get(supertype).add_method(
+            Method("ZzNewRecv", return_type=ts.string_type))
+        [warm] = workspace.complete_many(
+            _requests(workspace, context, sources))
+        assert not warm.cached
+        assert "x.ZzNewRecv()" in [
+            to_source(completion.expr) for completion in warm.completions]
+        _check_against_cold(ts, context, sources, [warm])
 
 
 class TestSetMemberOrder:

@@ -1,10 +1,11 @@
 """Whole-universe dependency analysis: graph, footprints, impact, RA1xx.
 
 Covers the two static edge families of :class:`DependencyGraph`
-(supertype, member-signature), the three-way footprint split of
-:func:`footprint_seeds` (direct reads / chain seeds / accepting), the
-method-aware mutation log behind the accepting drop test, the
-``impact`` reverse query, and the RA101-RA104 lints.
+(supertype, member-signature), the bounded chain reads of suffix-hole
+seeds, the three-way footprint split of :func:`footprint_seeds` (direct
+reads / chain seeds / accepting), the parameter-carrying mutation log
+behind the accepting drop test, the ``impact`` reverse query, and the
+RA101-RA104 lints.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class TestGraphEdges:
     def test_footprint_is_union_of_closures(self, world):
         ts, t = world
         graph = DependencyGraph(ts)
-        assert graph.footprint(["N.Doc"]) == graph.closure("N.Doc")
-        both = graph.footprint(["N.Doc", "N.Unrelated"])
-        assert both == graph.closure("N.Doc") | graph.closure("N.Unrelated")
+        assert graph.footprint([("N.Doc", 3)]) == graph.chain_reads("N.Doc", 3)
+        both = graph.footprint([("N.Doc", 2), ("N.Unrelated", 1)])
+        assert both == (graph.chain_reads("N.Doc", 2)
+                        | graph.chain_reads("N.Unrelated", 1))
 
     def test_stats(self, world):
         ts, t = world
@@ -99,11 +101,62 @@ class TestGraphEdges:
         assert stats["built_version"] == float(ts.version)
 
 
+class TestChainReads:
+    """A chain of ``s`` lookups reads the seed's supertype closure and
+    ``s - 1`` rounds of member result types, each closed over
+    supertypes: never parameter types, never deeper rounds."""
+
+    def test_one_step_reads_the_supertype_closure(self, world):
+        ts, t = world
+        graph = DependencyGraph(ts)
+        assert graph.chain_reads("N.SpecialDoc", 1) == frozenset(
+            {"N.SpecialDoc", "N.Doc", "System.Object"})
+
+    def test_each_step_adds_one_round_of_result_types(self, world):
+        ts, t = world
+        lib = LibraryBuilder(ts)
+        lib.method(t["layers"], "First", returns=t["layer"])
+        graph = DependencyGraph(ts)
+        two = graph.chain_reads("N.Doc", 2)
+        assert two == {"N.Doc", "System.Object", "N.LayerList"}
+        three = graph.chain_reads("N.Doc", 3)
+        assert three == two | {"N.Layer"}
+        # String is a third-round type; Resize(Size) is no chain step,
+        # though the unbounded closure follows it
+        assert graph.chain_reads("N.Doc", 9) == three | {"System.String"}
+        assert "N.Size" in graph.closure("N.Doc")
+
+    def test_inherited_members_step_from_the_subtype(self, world):
+        ts, t = world
+        graph = DependencyGraph(ts)
+        assert "N.LayerList" in graph.chain_reads("N.SpecialDoc", 2)
+
+    def test_static_and_parameterised_members_are_not_steps(self, world):
+        ts, t = world
+        lib = LibraryBuilder(ts)
+        lib.field(t["unrelated"], "Shared", t["size"], static=True)
+        lib.method(t["unrelated"], "Make", returns=t["layer"],
+                   params=[("seed", ts.primitive("int"))])
+        graph = DependencyGraph(ts)
+        assert graph.chain_reads("N.Unrelated", 2) == {
+            "N.Unrelated", "System.Object", "System.String"}
+
+    def test_reads_are_memoised_per_round_count(self, world):
+        ts, t = world
+        graph = DependencyGraph(ts)
+        assert graph.chain_reads("N.Doc", 2) is graph.chain_reads("N.Doc", 2)
+        assert graph.chain_reads("N.Doc", 0) == frozenset()
+
+
 class TestMethodParamTypes:
     def test_collects_current_method_params(self, world):
         ts, t = world
-        assert method_param_types(ts, ["N.Doc"]) == frozenset({"N.Size"})
-        assert method_param_types(ts, ["N.LayerList"]) == frozenset({"N.Layer"})
+        # receivers count: an instance method's first argument is its
+        # declaring type
+        assert method_param_types(ts, ["N.Doc"]) == frozenset(
+            {"N.Size", "N.Doc"})
+        assert method_param_types(ts, ["N.LayerList"]) == frozenset(
+            {"N.Layer", "N.LayerList"})
         assert method_param_types(ts, ["N.Layer"]) == frozenset()
 
     def test_unknown_names_are_skipped(self, world):
@@ -149,37 +202,62 @@ class TestFootprintSeeds:
 
     def test_var_is_a_direct_read_not_a_chain(self, ctx):
         t, context = ctx
-        reads, chains, accepting = footprint_seeds(parse("?({d})", context))
+        reads, chains, accepting = footprint_seeds(
+            parse("?({d})", context), 3)
         assert "N.Doc" in reads
         assert chains == frozenset()
         assert accepting == frozenset({"N.Doc"})
 
     def test_suffix_hole_seeds_a_chain(self, ctx):
         t, context = ctx
-        reads, chains, accepting = footprint_seeds(parse("d.?*m", context))
-        assert chains == frozenset({"N.Doc"})
+        reads, chains, accepting = footprint_seeds(parse("d.?*m", context), 3)
+        assert chains == frozenset({("N.Doc", 3)})
         assert accepting == frozenset()
+
+    def test_nested_suffix_holes_sum_their_steps(self, ctx):
+        t, context = ctx
+        for source, star_steps, seed in (
+                ("d.?m.?m", 3, ("N.Doc", 2)),
+                ("d.?f.?f.?m", 3, ("N.Doc", 3)),
+                ("d.?*m.?f", 4, ("N.Doc", 5)),
+                ("d.layers.?m.?*f", 2, ("N.LayerList", 3))):
+            reads, chains, accepting = footprint_seeds(
+                parse(source, context), star_steps)
+            assert chains == frozenset({seed}), source
+            assert "N.Doc" in reads
+
+    def test_engine_footprint_of_a_nested_chain_is_bounded(self):
+        workspace = Workspace.builtin("paint")
+        document = workspace.resolve_type("Document")
+        context = workspace.context(locals={"img": document})
+        engine = workspace.engine
+        graph = engine.dependency_graph()
+        footprint = engine._footprint(parse("img.?m.?m", context))
+        assert footprint is not None
+        assert footprint.reads == graph.chain_reads(document.full_name, 2)
+        assert footprint.reads < graph.closure(document.full_name)
 
     def test_field_access_receiver_chains_from_member_type(self, ctx):
         t, context = ctx
         reads, chains, accepting = footprint_seeds(
-            parse("d.layers.?m", context))
-        assert chains == frozenset({"N.LayerList"})
+            parse("d.layers.?m", context), 3)
+        assert chains == frozenset({("N.LayerList", 1)})
         assert "N.Doc" in reads
 
     def test_bare_hole_is_universe_wide(self, ctx):
         t, context = ctx
-        assert footprint_seeds(parse("?", context)) is None
-        assert footprint_seeds(Hole()) is None
+        assert footprint_seeds(parse("?", context), 3) is None
+        assert footprint_seeds(Hole(), 3) is None
+        assert footprint_seeds(parse("?.?m", context), 3) is None
 
     def test_all_wildcard_unknown_call_is_universe_wide(self):
-        assert footprint_seeds(UnknownCall((Unfilled(),))) is None
+        assert footprint_seeds(UnknownCall((Unfilled(),)), 3) is None
 
     def test_known_call_has_no_accepting_sensitivity(self, world):
         ts, t = world
         resize = t["doc"].methods[0]
         pe = KnownCall((resize,), (Unfilled(),))
-        reads, chains, accepting = footprint_seeds(pe)
+        reads, chains, accepting = footprint_seeds(pe, 3)
         assert {"N.Doc", "N.Size"} <= reads
         assert accepting == frozenset()
 
@@ -205,12 +283,29 @@ class TestMethodAwareMutationLog:
         t["doc"].add_field(Field("zz", ts.string_type))
         assert ts.mutations_since(version) == frozenset({"N.Doc"})
         assert ts.method_mutations_since(version) == frozenset()
+        assert ts.method_params_since(version) == frozenset()
 
     def test_add_method_is_a_method_mutation(self, world):
         ts, t = world
         version = ts.version
         t["doc"].add_method(Method("zzM", return_type=ts.string_type))
         assert ts.method_mutations_since(version) == frozenset({"N.Doc"})
+
+    def test_add_method_carries_its_params_and_receiver(self, world):
+        ts, t = world
+        version = ts.version
+        t["layer"].add_method(Method(
+            "zzM", return_type=ts.string_type,
+            params=[Parameter("s", t["size"])]))
+        # only the new method's parameters: not Doc's Resize(Size) nor
+        # anything else already declared
+        assert ts.method_params_since(version) == frozenset(
+            {"N.Layer", "N.Size"})
+        static = Method("zzS", return_type=None, is_static=True,
+                        params=[Parameter("u", t["unrelated"])])
+        t["doc"].add_method(static)
+        assert ts.method_params_since(version) == frozenset(
+            {"N.Layer", "N.Size", "N.Unrelated"})
 
     def test_method_reorder_is_a_method_mutation(self, world):
         ts, t = world
@@ -219,6 +314,9 @@ class TestMethodAwareMutationLog:
         version = ts.version
         t["doc"].set_member_order(methods=list(reversed(t["doc"].methods)))
         assert ts.method_mutations_since(version) == frozenset({"N.Doc"})
+        # a reorder re-ranks every method of the type
+        assert ts.method_params_since(version) == frozenset(
+            {"N.Doc", "N.Size"})
 
     def test_field_reorder_is_not_a_method_mutation(self, world):
         ts, t = world
@@ -228,6 +326,7 @@ class TestMethodAwareMutationLog:
         t["doc"].set_member_order(fields=list(reversed(t["doc"].fields)))
         assert ts.mutations_since(version) == frozenset({"N.Doc"})
         assert ts.method_mutations_since(version) == frozenset()
+        assert ts.method_params_since(version) == frozenset()
 
     def test_structural_edit_answers_none(self, world):
         ts, t = world
@@ -235,6 +334,7 @@ class TestMethodAwareMutationLog:
         ts.register(TypeDef("Late", "N"))
         assert ts.mutations_since(version) is None
         assert ts.method_mutations_since(version) is None
+        assert ts.method_params_since(version) is None
 
     def test_truncated_log_answers_none(self, world):
         ts, t = world

@@ -1,5 +1,7 @@
 """Tests for the interactive layer: workspace, session, REPL, CLI."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -256,6 +258,15 @@ class TestRepl:
         ])
         assert "total score" in out
         assert "type_distance" in out or "depth" in out
+
+    def test_explaining_records_no_query(self):
+        _session, out = self.drive([
+            ":let img Document",
+            "img.?m",
+            ":explain 1",
+            ":stats",
+        ])
+        assert re.search(r"^ +queries +1$", out, re.MULTILINE)
 
     def test_explain_without_query(self):
         _session, out = self.drive([":explain 1"])

@@ -6,7 +6,9 @@ A member-level edit (``add_field`` / ``add_property`` / ``add_method`` /
 * the completion cache finds the entries to drop through an inverted
   footprint index instead of testing every entry;
 * the universe's one shared :class:`DependencyGraph` is patched — only
-  the edited types' forward edges are recomputed — instead of rebuilt;
+  the edited types' forward edges and member result types are
+  recomputed, and only the closure and chain-read memos an edit can
+  reach are dropped — instead of rebuilt;
 * ``TypeSystem.fingerprint`` rehashes memoised per-type bytes.
 
 Each fast path is checked here against its slow reference after every
@@ -29,7 +31,6 @@ from repro.analysis.deps import (
     QueryFootprint,
     dependency_graph,
     lint_dependencies,
-    method_param_types,
 )
 from repro.api import build_pack, load_pack
 from repro.codemodel import Field, Method, Parameter
@@ -144,6 +145,13 @@ def assert_same_graph(graph, fresh):
             name
 
 
+def assert_same_chain_reads(graph, fresh, names):
+    for name in names:
+        for steps in (1, 2, 3):
+            assert graph.chain_reads(name, steps) == \
+                fresh.chain_reads(name, steps), (name, steps)
+
+
 class TestPatchedGraph:
     @pytest.mark.parametrize("universe", UNIVERSES)
     @pytest.mark.parametrize("source", ["built", "pack"])
@@ -155,8 +163,10 @@ class TestPatchedGraph:
               else _pristine(universe))
         graph = dependency_graph(ts)
         # warm some closure memos so the patch has memos to keep or drop
-        for name in sorted(graph._forward)[::3]:
+        warmed = sorted(graph._forward)[::3]
+        for name in warmed:
             graph.closure(name)
+            graph.chain_reads(name, 2)
         for serial, edit in enumerate(edits):
             before = _snapshot(graph)
             apply_edit(ts, edit, serial)
@@ -164,7 +174,9 @@ class TestPatchedGraph:
             assert patched.built_version == ts.version
             # copy-on-write: a reader of the old graph sees it unchanged
             assert _snapshot(graph) == before
-            assert_same_graph(patched, DependencyGraph(ts))
+            fresh = DependencyGraph(ts)
+            assert_same_graph(patched, fresh)
+            assert_same_chain_reads(patched, fresh, warmed)
             assert ts.fingerprint() == ts.fingerprint(fresh=True)
             graph = patched
 
@@ -280,8 +292,7 @@ class TestIndexedInvalidation:
         for serial, edit in enumerate(edits):
             apply_edit(ts, edit, serial)
             mutated = ts.mutations_since(cache._version)
-            method_mutated = ts.method_mutations_since(cache._version)
-            params = method_param_types(ts, method_mutated)
+            params = ts.method_params_since(cache._version)
             linear = _linear_drop(cache._streams, cache._stream_fp,
                                   mutated, params)
             assert cache._stream_fp.affected(mutated, params) == linear

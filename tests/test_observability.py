@@ -336,6 +336,13 @@ class TestCacheReplay:
         [preflight] = [s for s in traced.trace if s["name"] == "preflight"]
         assert preflight["counters"] == {"cached": 1}
 
+    def test_explain_records_no_query(self, engine):
+        engine, context = engine
+        pe = parse("?({img})", context)
+        engine.complete_query(pe, context)
+        assert engine.explain(pe, context, n=10)
+        assert engine.metrics.counter("queries") == 1
+
     def test_explain_after_replay_is_never_empty(self, engine):
         engine, context = engine
         pe = parse("?({img})", context)
@@ -432,6 +439,23 @@ class TestCli:
             "now=System.DateTime", "--explain", "now.?m"])
         assert code == 0
         assert "type_distance=" in output
+
+    def test_complete_explain_records_each_query_once(self, monkeypatch):
+        from repro.engine.completer import CompletionEngine
+
+        recorded = []
+        original = CompletionEngine._record_outcome
+
+        def counting(engine, outcome):
+            recorded.append(outcome)
+            original(engine, outcome)
+
+        monkeypatch.setattr(CompletionEngine, "_record_outcome", counting)
+        code, _output = self._run([
+            "complete", "--universe", "bcl", "--let",
+            "now=System.DateTime", "--explain", "now.?m", "now.?f"])
+        assert code == 0
+        assert len(recorded) == 2
 
     def test_stats_battery_reports_metrics(self):
         code, output = self._run(["stats", "--universe", "geometry"])
