@@ -44,8 +44,7 @@ dependency structure that makes *selective* invalidation sound:
   one :class:`QueryFootprint` per entry at population time — direct
   signature reads, plus the chain reads of any suffix-hole seeds, plus
   the accepting set — and drops exactly the entries an edit
-  intersects (:mod:`repro.engine.cache`).  :meth:`DependencyGraph.closure`
-  is the unbounded forward closure (packs persist it).
+  intersects (:mod:`repro.engine.cache`).
 
 * :meth:`DependencyGraph.impact` — the reverse direction, as a
   queryable :class:`ImpactReport`: "which root pools, shared streams,
@@ -500,10 +499,10 @@ class DependencyGraph:
 
     Built from a :class:`TypeSystem` at a fixed version
     (``built_version``) and never changed afterwards, apart from
-    closure memos filling in.  :func:`dependency_graph` keeps one graph
-    per universe current: a member-level edit window makes a patched
-    copy that recomputes only the edited types' forward edges; a
-    structural edit rebuilds.  Closure queries are memoised per name
+    reverse-closure and chain-read memos filling in.
+    :func:`dependency_graph` keeps one graph per universe current: a
+    member-level edit window makes a patched copy that recomputes only
+    the edited types' forward edges; a structural edit rebuilds.  Reverse closures are memoised per name
     (chain reads per name and round count), so repeated footprint
     computations over a warm engine — or over a fresh engine per query
     on the same universe — stay cheap.
@@ -518,7 +517,6 @@ class DependencyGraph:
         self._reverse: Dict[str, Set[str]] = {}
         #: supertype-lattice neighbours (both directions), for RA102
         self._lattice: Dict[str, Set[str]] = {}
-        self._closure_memo: Dict[str, FrozenSet[str]] = {}
         self._reverse_memo: Dict[str, FrozenSet[str]] = {}
         #: per-type member result types (:func:`_member_results`), filled
         #: by :meth:`chain_reads` on first use
@@ -527,9 +525,9 @@ class DependencyGraph:
         self._chain_memo: Dict[Tuple[str, int], FrozenSet[str]] = {}
         self._partition_of: Dict[str, Set[int]] = {}
         self._partition_members: Dict[int, Set[str]] = {}
-        #: pack-restored closures, still int-encoded (csv of indexes into
-        #: ``_pack_strings``); decoded into the memo on first query
-        self._packed_closures: Dict[str, str] = {}
+        #: pack-restored reverse closures, still int-encoded (csv of
+        #: indexes into ``_pack_strings``); decoded into the memo on first
+        #: query
         self._packed_reverse: Dict[str, str] = {}
         self._pack_strings: List[str] = []
         self._build()
@@ -545,7 +543,6 @@ class DependencyGraph:
         ts: TypeSystem,
         forward: Dict[str, Set[str]],
         lattice: Dict[str, Set[str]],
-        packed_closures: Dict[str, str],
         packed_reverse: Dict[str, str],
         strings: List[str],
         partition_members: Optional[Dict[int, Set[str]]] = None,
@@ -554,9 +551,9 @@ class DependencyGraph:
         instead of re-walking every member signature.
 
         Edges and the lattice arrive decoded (they are small and every
-        query touches them); the closure and reverse-closure memos stay
-        int-encoded — csv indexes into ``strings`` — and materialise per
-        name on first :meth:`closure` / :meth:`reverse_closure` call, so
+        query touches them); the reverse-closure memo stays int-encoded —
+        csv indexes into ``strings`` — and materialises per name on the
+        first :meth:`reverse_closure` call, so
         restoring a large universe costs edge decoding, not
         ``O(types * closure size)``.
         """
@@ -569,7 +566,6 @@ class DependencyGraph:
             for dst in dsts:
                 self._reverse.setdefault(dst, set()).add(src)
         self._lattice = lattice
-        self._closure_memo = {}
         self._reverse_memo = {}
         self._results = {}
         self._chain_memo = {}
@@ -578,7 +574,6 @@ class DependencyGraph:
         for root, members in self._partition_members.items():
             for name in members:
                 self._partition_of.setdefault(name, set()).add(root)
-        self._packed_closures = packed_closures
         self._packed_reverse = packed_reverse
         self._pack_strings = strings
         ts.fingerprint()
@@ -614,10 +609,9 @@ class DependencyGraph:
         type whose member result types changed.  When no forward edge
         changed, it shares every other map and memo with this graph;
         otherwise it gets its own forward and reverse maps with only the
-        changed entries replaced, keeps the closure memos that contain
-        no changed type, and starts without reverse memos or
-        pack-encoded closures.  This graph itself is never modified, so
-        a reader holding it sees a consistent snapshot.  Partitions are
+        changed entries replaced, and starts without reverse memos or
+        pack-encoded reverse closures.  This graph itself is never
+        modified, so a reader holding it sees a consistent snapshot.  Partitions are
         dropped, as a rebuild without a project would.
         """
         ts = self.ts
@@ -661,13 +655,7 @@ class DependencyGraph:
                 reverse[dst] = reverse.get(dst, set()) | {name}
         graph._forward = forward
         graph._reverse = reverse
-        graph._closure_memo = {
-            name: closure
-            for name, closure in dict(self._closure_memo).items()
-            if closure.isdisjoint(changed)
-        }
         graph._reverse_memo = {}
-        graph._packed_closures = {}
         graph._packed_reverse = {}
         graph._pack_strings = []
         return graph
@@ -704,15 +692,6 @@ class DependencyGraph:
     def reverse(self, name: str) -> FrozenSet[str]:
         """Direct dependents of ``name`` (types referencing it)."""
         return frozenset(self._reverse.get(name, ()))
-
-    def closure(self, name: str) -> FrozenSet[str]:
-        """Forward dependency closure, including ``name`` itself."""
-        if name not in self._closure_memo and self._packed_closures:
-            encoded = self._packed_closures.pop(name, None)
-            if encoded is not None:
-                return self._unpack_closure(name, encoded,
-                                            self._closure_memo)
-        return self._bfs(name, self._forward, self._closure_memo)
 
     def reverse_closure(self, name: str) -> FrozenSet[str]:
         """Reverse dependency closure, including ``name`` itself."""

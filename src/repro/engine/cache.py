@@ -20,6 +20,15 @@ across queries on one engine:
   asking for the same sub-stream replays the computed prefix from
   memory and only extends it past the known frontier.  Whole-query
   result streams are cached the same way under a distinct tag.
+* **parses** — the partial expression a query's source text parses to
+  in a given context (``CompletionEngine.parse``), so a repeated query
+  skips the parser as well as the search.  Each entry's footprint is the
+  parser's read set (:mod:`repro.lang.parser`: the types whose member
+  lists name resolution read, or universe-wide for a bare method name);
+  it has no accepting half, because a parse never searches for
+  candidates.  Parses live in their own LRU map, bounded by the same
+  ``max_streams``, and are left out of every counter: the stats
+  describe the completion memo, which the parse memo only fronts.
 
 **Invalidation** is two-tier.  Every public lookup compares the
 :class:`~repro.codemodel.typesystem.TypeSystem` version counter against
@@ -90,12 +99,14 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
 from ..analysis.deps import QueryFootprint
 from ..analysis.scope import Context
 from ..codemodel.typesystem import TypeSystem
+from ..lang.ast import Expr
 from .streams import Materialized, Scored
 
 #: sentinel distinguishing a recorded ``None`` footprint from no record
@@ -277,6 +288,8 @@ class CompletionCache:
         self._streams: "OrderedDict[Hashable, Materialized]" = OrderedDict()
         self._stream_fp = _FootprintIndex()
         self._roots: Dict[Hashable, _RootPool] = {}
+        self._parses: "OrderedDict[Hashable, Expr]" = OrderedDict()
+        self._parse_fp = _FootprintIndex()
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -288,21 +301,32 @@ class CompletionCache:
         member-level, coarse otherwise."""
         if self._version == ts.version:
             return
+        # the counters describe streams and root pools only: a window
+        # seen by the parse memo alone is invalidated but not counted
         populated = bool(self._streams or self._roots)
         mutated = (
             ts.mutations_since(self._version)
-            if self._version is not None and populated
+            if self._version is not None and (populated or self._parses)
             else None
         )
         if mutated is None:
             if self._version is not None and populated:
                 self.stats.invalidations_coarse += 1
-            self._streams.clear()
-            self._stream_fp.clear()
-            self._roots.clear()
+            self._clear_entries()
         else:
-            self._invalidate_fine(ts, mutated)
+            for key in self._parse_fp.affected(mutated, frozenset()):
+                del self._parses[key]
+                self._parse_fp.forget(key)
+            if populated:
+                self._invalidate_fine(ts, mutated)
         self._version = ts.version
+
+    def _clear_entries(self) -> None:
+        self._streams.clear()
+        self._stream_fp.clear()
+        self._roots.clear()
+        self._parses.clear()
+        self._parse_fp.clear()
 
     def _invalidate_fine(
         self, ts: TypeSystem, mutated: FrozenSet[str]
@@ -342,14 +366,42 @@ class CompletionCache:
     def clear(self) -> None:
         """Forget every cached entry (stats are kept)."""
         with self._lock:
-            self._streams.clear()
-            self._stream_fp.clear()
-            self._roots.clear()
+            self._clear_entries()
             self._version = None
 
     # ------------------------------------------------------------------
-    # the two memo kinds
+    # the memo kinds
     # ------------------------------------------------------------------
+    def parse(
+        self,
+        ts: TypeSystem,
+        key: Hashable,
+        make: Callable[[Set[Optional[str]]], Expr],
+    ) -> Tuple[Expr, bool]:
+        """The memoised parse under ``key``, made by ``make(reads)`` on a
+        miss; ``make`` fills ``reads`` with the parser's read set
+        (:func:`repro.lang.parser.parse`), which becomes the entry's
+        footprint.  A ``ParseError`` from ``make`` propagates and
+        nothing is stored.  Returns ``(expr, was_hit)``."""
+        with self._lock:
+            self._sync(ts)
+            expr = self._parses.get(key)
+            if expr is not None:
+                self._parses.move_to_end(key)
+                return expr, True
+        reads: Set[Optional[str]] = set()
+        expr = make(reads)
+        with self._lock:
+            self._sync(ts)
+            self._parses[key] = expr
+            self._parse_fp.record(
+                key, None if None in reads
+                else QueryFootprint(reads=frozenset(reads)))
+            while len(self._parses) > self.max_streams:
+                evicted, _ = self._parses.popitem(last=False)
+                self._parse_fp.forget(evicted)
+        return expr, False
+
     def stream(
         self,
         ts: TypeSystem,

@@ -40,7 +40,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -74,6 +73,8 @@ from ..lang.partial import (
     SuffixHole,
     UnknownCall,
 )
+from ..lang import parser
+from ..lang.printer import to_source
 from .budget import CancellationToken, QueryBudget
 from .cache import CompletionCache, context_signature
 from .index import MethodIndex, ReachabilityIndex
@@ -139,7 +140,7 @@ class EngineConfig:
         return astuple(self)
 
 
-class Completion(NamedTuple):
+class Completion:
     """One ranked completion.
 
     ``breakdown`` is ``None`` on the ordinary query path; the
@@ -147,11 +148,60 @@ class Completion(NamedTuple):
     ``--explain``) return copies with a
     :class:`~repro.obs.attribution.ScoreBreakdown` attached whose terms
     sum to ``score``.
+
+    ``text`` (the source rendering) and ``depth`` (the lookup depth the
+    ``completion_depth`` histogram tracks) are computed on first use and
+    kept: a query's deduplication makes each completion once, and a
+    whole-query cache replay hands out the same objects again, so a
+    replayed answer is rendered and measured only once.
     """
 
-    score: int
-    expr: Expr
-    breakdown: Optional[ScoreBreakdown] = None
+    __slots__ = ("score", "expr", "breakdown", "_text", "_depth")
+
+    def __init__(self, score: int, expr: Expr,
+                 breakdown: Optional[ScoreBreakdown] = None) -> None:
+        self.score = score
+        self.expr = expr
+        self.breakdown = breakdown
+        self._text: Optional[str] = None
+        self._depth: Optional[int] = None
+
+    @property
+    def text(self) -> str:
+        """The completion's source text (``to_source(expr)``)."""
+        if self._text is None:
+            self._text = to_source(self.expr)
+        return self._text
+
+    @property
+    def depth(self) -> int:
+        """Lookup depth: member lookups (field accesses and calls) in
+        the expression tree."""
+        if self._depth is None:
+            self._depth = _expr_depth(self.expr)
+        return self._depth
+
+    def _replace(self, **changes) -> "Completion":
+        """A copy with some of ``score``/``expr``/``breakdown``
+        replaced; a copy of the same expression keeps the rendering."""
+        copy = Completion(**{"score": self.score, "expr": self.expr,
+                             "breakdown": self.breakdown, **changes})
+        if copy.expr is self.expr:
+            copy._text, copy._depth = self._text, self._depth
+        return copy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Completion):
+            return NotImplemented
+        return (self.score == other.score and self.expr == other.expr
+                and self.breakdown == other.breakdown)
+
+    def __hash__(self) -> int:
+        return hash((self.score, self.expr))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "Completion(score={}, expr={!r})".format(self.score,
+                                                       self.expr)
 
 
 class QueryStatus(enum.Enum):
@@ -509,6 +559,28 @@ class CompletionEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+    def parse(
+        self, source: str, context: Context, span: Optional[Span] = None
+    ) -> Expr:
+        """``source`` parsed in ``context``, memoised in the cross-query
+        cache under ``(source, context_signature(context))`` until a
+        member edit touches a type the parse read (see
+        :mod:`repro.lang.parser`).  A miss, and every parse with the
+        cache off or a fault plan armed, runs
+        :func:`repro.lang.parser.parse`; a ``ParseError`` propagates and
+        is not memoised.  A traced caller passes its ``parse`` span,
+        which gets ``cached`` 0/1."""
+        cache = self._stream_cache(None, None)
+        if cache is None:
+            pe, hit = parser.parse(source, context), False
+        else:
+            pe, hit = cache.parse(
+                self.ts, (source, context_signature(context)),
+                lambda reads: parser.parse(source, context, reads))
+        if span is not None:
+            span.set("cached", 1 if hit else 0)
+        return pe
+
     def preflight(
         self,
         pe: Expr,
@@ -627,8 +699,6 @@ class CompletionEngine:
             outcome.trace = tracer.to_dicts()
         self._record_outcome(outcome)
         if self.run_log is not None:
-            from ..lang.printer import to_source
-
             self.run_log.query_event(to_source(pe), outcome)
         return outcome
 
@@ -746,9 +816,7 @@ class CompletionEngine:
         ]
         for completion in outcome.completions:
             observations.append(
-                ("completion_depth", _expr_depth(completion.expr),
-                 _DEPTH_BOUNDS)
-            )
+                ("completion_depth", completion.depth, _DEPTH_BOUNDS))
         self.metrics.record(counters, observations)
 
     def explain(
@@ -1017,7 +1085,9 @@ class _Query:
         stream = self.stream(pe, self.expected_type)
         if self.tracer is None:
             return _dedup(stream)
-        return _dedup(stream, self.tracer.start("dedup"))
+        span = self.tracer.start("dedup")
+        return self.tracer.wrap_stream("dedup", _dedup(stream, span),
+                                       span=span)
 
     # ------------------------------------------------------------------
     # cached sub-streams

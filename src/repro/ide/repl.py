@@ -297,8 +297,6 @@ def _fuzz(session: CompletionSession, args, write) -> None:
 
 
 def _explain(session: CompletionSession, rank: int, write) -> None:
-    from ..lang.printer import to_source
-
     explained = session.explain(rank=rank)
     if not explained:
         record = session.last()
@@ -310,7 +308,7 @@ def _explain(session: CompletionSession, rank: int, write) -> None:
     completion = explained[0]
     breakdown = completion.breakdown
     write("{}  (total score {}{})".format(
-        to_source(completion.expr), breakdown.total,
+        completion.text, breakdown.total,
         ", cache replay" if breakdown.cached else ""))
     for feature, value in breakdown.rows():
         write("  {:<16s} {:>3d}".format(feature, value))

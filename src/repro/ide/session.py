@@ -23,7 +23,7 @@ from ..engine.completer import Completion, QueryStatus
 from ..engine.ranking import AbstractTypeOracle
 from ..obs.trace import Tracer
 from ..lang.ast import Expr, Unfilled
-from ..lang.parser import ParseError, parse
+from ..lang.parser import ParseError
 from ..lang.partial import Hole
 from ..lang.printer import to_source
 from .workspace import Workspace
@@ -235,7 +235,7 @@ class CompletionSession:
 
     def _fill_record(self, record: QueryRecord, outcome) -> None:
         record.suggestions = [
-            Suggestion(rank, completion.score, to_source(completion.expr),
+            Suggestion(rank, completion.score, completion.text,
                        completion.expr)
             for rank, completion in enumerate(outcome.completions, start=1)
         ]
@@ -259,13 +259,14 @@ class CompletionSession:
         """
         record = QueryRecord(source=source)
         context = self.context()
+        engine = self.workspace.engine
         tracer = Tracer() if self.trace else None
         try:
             if tracer is not None:
-                with tracer.span("parse"):
-                    pe = parse(source, context)
+                with tracer.span("parse") as span:
+                    pe = engine.parse(source, context, span)
             else:
-                pe = parse(source, context)
+                pe = engine.parse(source, context)
         except ParseError as error:
             record.error = str(error)
             if tracer is not None:
@@ -274,7 +275,7 @@ class CompletionSession:
             self._log_parse_failure(record)
             self.history.append(record)
             return record
-        outcome = self.workspace.engine.complete_query(
+        outcome = engine.complete_query(
             pe,
             context,
             n=self.n,
@@ -303,7 +304,7 @@ class CompletionSession:
             source = record.source
         context = self.context()
         try:
-            pe = parse(source, context)
+            pe = self.workspace.engine.parse(source, context)
         except ParseError:
             return []
         return self.workspace.engine.explain(
@@ -332,7 +333,7 @@ class CompletionSession:
         targets: List[QueryRecord] = []
         for record in records:
             try:
-                pe = parse(record.source, context)
+                pe = self.workspace.engine.parse(record.source, context)
             except ParseError as error:
                 record.error = str(error)
                 self._log_parse_failure(record)
@@ -370,7 +371,7 @@ class CompletionSession:
 
         context = self.context()
         try:
-            pe = parse(source, context)
+            pe = self.workspace.engine.parse(source, context)
         except ParseError as error:
             span = getattr(error, "span", None)
             report = PreflightReport(unsatisfiable=False)

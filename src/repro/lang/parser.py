@@ -17,12 +17,36 @@ Grammar (tokens in caps)::
     postfix  := SUFFIX                        -- .?f .?*f .?m .?*m
               | '.' IDENT
               | '(' exprs? ')'
+
+**Read footprint.**  A parse depends on the universe only through the
+member lists name resolution reads, so ``parse(source, context,
+reads=set())`` records them, and a memo of the result stays valid for
+as long as no member edit touches one of them (the engine's parse memo,
+``CompletionEngine.parse``, drops entries by the same rule as cached
+streams: :mod:`repro.engine.cache`).  The parser adds to ``reads``:
+
+* the supertype closure of the base type for an instance lookup or
+  call (``x.f``, ``x.M(...)``): inherited members are looked up, so a
+  same-named member or an overload added anywhere between ``x``'s type
+  and the declarer changes the result;
+* the type itself for a static member (``T.f``, ``T.M(...)``), plus its
+  closure when a call falls back to the flat qualified instance-call
+  form, and the type for a constructor (``new T(...)``);
+* ``None`` for a bare method name (``M(a, ?)``): every type's methods
+  are read, so the parse is universe-wide.
+
+Type names, literals' types and argument conversions are structural:
+they change only with registrations and supertype edits, and those
+clear every memo coarsely.  A member edit never changes a ``Method`` or
+``Field`` object itself, only which ones a type lists and in what
+order, so a parse whose read types were not edited resolves to the same
+members in the same order.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.scope import Context
@@ -96,11 +120,24 @@ def _tokenize(source: str) -> List[Tuple[str, str]]:
 
 
 class _Parser:
-    def __init__(self, source: str, context: Context) -> None:
+    def __init__(self, source: str, context: Context,
+                 reads: Optional[Set[Optional[str]]] = None) -> None:
         self.source = source
         self.ctx = context
+        self.reads = reads
         self.tokens = _tokenize(source)
         self.pos = 0
+
+    def _read(self, typedef: TypeDef, inherited: bool = False) -> None:
+        """Record that resolution read ``typedef``'s member lists (with
+        ``inherited``, those of its whole supertype closure)."""
+        if self.reads is None:
+            return
+        if inherited:
+            self.reads.update(
+                t.full_name for t in self.ctx.ts.supertype_closure(typedef))
+        else:
+            self.reads.add(typedef.full_name)
 
     # -- token helpers -------------------------------------------------
     def _peek(self) -> Tuple[str, str]:
@@ -235,6 +272,7 @@ class _Parser:
             raise self._error(
                 "unknown type in 'new {}'".format(".".join(parts))
             )
+        self._read(typedef)
         candidates = [m for m in typedef.methods if m.is_constructor]
         if not candidates:
             raise self._error(
@@ -267,6 +305,8 @@ class _Parser:
                 )
             return self._resolve_static(type_prefix, rest, call_args)
         if len(parts) == 1 and call_args is not None:
+            if self.reads is not None:
+                self.reads.add(None)
             candidates = self.ctx.methods_named(parts[0])
             if not candidates:
                 raise self._error("unknown method name {!r}".format(parts[0]))
@@ -296,6 +336,7 @@ class _Parser:
         call_args: Optional[Tuple[Expr, ...]],
     ) -> Expr:
         name = parts[0]
+        self._read(typedef)
         if len(parts) == 1 and call_args is not None:
             candidates = [
                 m for m in typedef.methods if m.is_static and m.name == name
@@ -303,6 +344,7 @@ class _Parser:
             if not candidates:
                 # flat qualified instance-call syntax, receiver in the
                 # argument list: `PaintDotNet.Document.OnDeserialization(0, s)`
+                self._read(typedef, inherited=True)
                 candidates = [
                     m
                     for m in self.ctx.ts.instance_methods(typedef)
@@ -347,6 +389,7 @@ class _Parser:
         base_type = expr.type
         if base_type is None:
             raise self._error("cannot look up {!r} on a typeless expression".format(name))
+        self._read(base_type, inherited=True)
         for member in self.ctx.ts.instance_lookups(base_type):
             if member.name == name:
                 return FieldAccess(expr, member)
@@ -362,6 +405,7 @@ class _Parser:
         base_type = receiver.type
         if base_type is None:
             raise self._error("cannot call {!r} on a typeless expression".format(name))
+        self._read(base_type, inherited=True)
         candidates = [
             m for m in self.ctx.ts.instance_methods(base_type) if m.name == name
         ]
@@ -477,10 +521,14 @@ class _Chain(_State):
         return parser.resolve_chain(self.parts, None)
 
 
-def parse(source: str, context: Context) -> Expr:
+def parse(source: str, context: Context,
+          reads: Optional[Set[Optional[str]]] = None) -> Expr:
     """Parse a (partial) expression against a scope context.
 
     Returns a complete-expression node when the input contains no holes and
-    resolves unambiguously, otherwise a partial-expression node.
+    resolves unambiguously, otherwise a partial-expression node.  Given a
+    set, ``reads`` receives the full names of the types whose member
+    lists resolution read, and ``None`` when it read every type's (see
+    the module docstring).
     """
-    return _Parser(source, context).parse_query()
+    return _Parser(source, context, reads).parse_query()

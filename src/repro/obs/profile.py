@@ -4,13 +4,20 @@ The :class:`~repro.obs.trace.Tracer` answers *where did this one query
 spend its time*; a :class:`Profile` aggregates many traces — a whole
 battery, eval run, or run log — into per-stack-path totals:
 
-* **inclusive time** — the span's own wall extent (``duration_ms``),
-  summed over every occurrence of the same stack path;
-* **self (exclusive) time** — inclusive time minus the inclusive time
-  of the span's direct children, clamped at zero.  Lazy stream spans
-  overlap their siblings by design (``docs/OBSERVABILITY.md``), so
-  exclusive time is an attribution convention, not a partition — the
-  clamp keeps it monotone and deterministic;
+* **inclusive time** — a synchronous span's wall extent
+  (``duration_ms``); a lazy stream span's pull time (``busy_ms``): its
+  wall extent overlaps its siblings by design
+  (``docs/OBSERVABILITY.md``), so only the time spent pulling it is its
+  own.  Summed over every occurrence of the same stack path;
+* **self (exclusive) time** — for a stream span, its ``self_ms``
+  counter: pull time minus the pulls and spans nested in it, so each
+  pull is counted once, by the stream it was spent in.  For a
+  synchronous span, inclusive time minus the wall extent of its
+  synchronous children and minus ``pulled_ms``, the time it spent
+  pulling streams.  With both, a query's path self-times sum to its
+  wall time.  A trace written without those counters falls back to
+  inclusive time minus the inclusive time of the direct children,
+  clamped at zero;
 * **counter rollups** — every span counter (``items``, ``steps``,
   ``busy_ms``, ...) summed per path.
 
@@ -77,11 +84,20 @@ class Profile:
             paths[span["span"]] = path
             return path
 
+        def times(span: dict) -> Tuple[Optional[float], Optional[float]]:
+            """``(inclusive, self)`` of a stream span by its counters,
+            ``(duration, None)`` of any other span."""
+            counters = span.get("counters", {})
+            if "self_ms" in counters and "busy_ms" in counters:
+                return counters["busy_ms"], counters["self_ms"]
+            return span["duration_ms"], None
+
         child_ms: Dict[int, float] = {}
         for span in spans:
             parent = span["parent"]
-            if parent in by_id and span["duration_ms"] is not None:
-                child_ms[parent] = child_ms.get(parent, 0.0) + span["duration_ms"]
+            inclusive, own = times(span)
+            if parent in by_id and inclusive is not None and own is None:
+                child_ms[parent] = child_ms.get(parent, 0.0) + inclusive
 
         for span in spans:
             node = self._nodes.setdefault(path_of(span), {
@@ -89,14 +105,17 @@ class Profile:
                 "counters": {},
             })
             node["calls"] += 1
-            duration = span["duration_ms"]
-            if duration is not None:
-                node["inclusive_ms"] += duration
-                node["self_ms"] += max(
-                    0.0, duration - child_ms.get(span["span"], 0.0))
-            counters = node["counters"]
-            for name, value in span.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
+            counters = span.get("counters", {})
+            inclusive, own = times(span)
+            if inclusive is not None:
+                node["inclusive_ms"] += inclusive
+                if own is None:
+                    own = (inclusive - child_ms.get(span["span"], 0.0)
+                           - counters.get("pulled_ms", 0.0))
+                node["self_ms"] += max(0.0, own)
+            rollup = node["counters"]
+            for name, value in counters.items():
+                rollup[name] = rollup.get(name, 0) + value
         return self
 
     def add_run_log(self, records: Iterable[dict]) -> "Profile":

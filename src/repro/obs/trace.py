@@ -30,8 +30,13 @@ Two timing notions per span:
   relative to the tracer's epoch;
 * ``busy_ms`` (a counter, present on stream spans) — cumulative time
   spent actually pulling items out of the lazy stream.  Lazy spans can
-  overlap arbitrarily, so their wall extents overlap too; ``busy_ms``
-  is the additive quantity.
+  overlap arbitrarily, so their wall extents overlap too.  A stream's
+  pull usually pulls the streams it reads from, so ``busy_ms`` nests;
+  ``self_ms`` (also on stream spans) is the pull time minus the nested
+  pulls and spans, and ``pulled_ms`` (on the synchronous span current
+  when an outermost pull ran) is what the span spent in pulls.  Those
+  two are what :class:`~repro.obs.profile.Profile` adds up, so a
+  query's path self-times sum to its wall time.
 """
 
 from __future__ import annotations
@@ -130,6 +135,9 @@ class Tracer:
         self._epoch = clock()
         self.spans: List[Span] = []
         self._stack: List[Span] = []
+        #: stream spans with a pull in progress -> the time (ms) of the
+        #: pulls and spans nested in it so far
+        self._pulling: Dict[Span, float] = {}
         self._next_id = 0
         self.closed = False
 
@@ -165,6 +173,10 @@ class Tracer:
         finally:
             self._stack.pop()
             self.end(span)
+            parent = self._stack[-1] if self._stack else None
+            if parent in self._pulling:
+                # opened by a pull: not the pulling stream's own time
+                self._pulling[parent] += span.end_ms - span.start_ms
 
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
@@ -175,6 +187,7 @@ class Tracer:
             return
         self.closed = True
         self._stack.clear()
+        self._pulling.clear()
         for span in self.spans:
             if span.end_ms is None:
                 self.end(span)
@@ -187,31 +200,48 @@ class Tracer:
         name: str,
         stream: Iterable,
         steps: Optional[Callable[[], int]] = None,
+        span: Optional[Span] = None,
     ) -> Iterator:
         """Yield ``stream`` through, accounting items / pull time / steps
-        into a span.
+        into a span.  While an item is pulled the span is the current
+        one, so spans started by the pull are its children.
 
         ``steps`` (when given) reads a monotone step counter — usually
         the query meter's — so the span records the expansion steps
-        charged while this stream was being pulled.
+        charged while this stream was being pulled.  ``span`` is an
+        already started span to account into instead of a new one named
+        ``name`` (a stream that counts into its own span, like
+        ``dedup``).
         """
         if self.closed:
             return iter(stream)
-        span = self.start(name)
+        if span is None:
+            span = self.start(name)
         steps_at_start = steps() if steps is not None else 0
 
         def generator() -> Iterator:
             iterator = iter(stream)
             try:
                 while not self.closed:
+                    outer = self._stack[-1] if self._stack else None
+                    self._stack.append(span)
+                    self._pulling[span] = 0.0
                     pulled_at = self._clock()
                     try:
                         item = next(iterator)
                     except StopIteration:
                         return
                     finally:
-                        span.add(
-                            "busy_ms", (self._clock() - pulled_at) * 1000.0)
+                        elapsed = (self._clock() - pulled_at) * 1000.0
+                        nested = self._pulling.pop(span, 0.0)
+                        if self._stack and self._stack[-1] is span:
+                            self._stack.pop()
+                        span.add("busy_ms", elapsed)
+                        span.add("self_ms", elapsed - nested)
+                        if outer in self._pulling:
+                            self._pulling[outer] += elapsed
+                        elif outer is not None:
+                            outer.add("pulled_ms", elapsed)
                     span.add("items")
                     yield item
                 yield from iterator

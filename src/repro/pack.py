@@ -4,8 +4,8 @@ A **pack** snapshots a universe *and* the derived state the engine
 would otherwise recompute on every process start — the
 :class:`~repro.engine.index.MethodIndex` parameter buckets, every
 :class:`~repro.engine.index.ReachabilityIndex` walk, the whole-universe
-:class:`~repro.analysis.deps.DependencyGraph` (edges, lattice, closure
-memos, abstract-type partitions) — so ``load_pack`` answers the first
+:class:`~repro.analysis.deps.DependencyGraph` (edges, lattice, reverse
+closures, abstract-type partitions) — so ``load_pack`` answers the first
 query in milliseconds where a rebuild takes seconds (perfbench reports
 ``pack.load_ms`` and ``pack.build_ms``).
 
@@ -106,7 +106,6 @@ def _materialize(workspace: Workspace):
     else:
         graph = engine.dependency_graph()
     for name in list(graph._forward):
-        graph.closure(name)
         graph.reverse_closure(name)
     return engine.index, reach, graph
 
@@ -146,10 +145,6 @@ def _encode_body(workspace: Workspace) -> Dict[str, Any]:
         "lattice": {
             str(strings.sid(src)): strings.csv(sorted(dsts))
             for src, dsts in graph._lattice.items()
-        },
-        "closures": {
-            str(strings.sid(name)): strings.csv(sorted(closure))
-            for name, closure in graph._closure_memo.items()
         },
         "rclosures": {
             str(strings.sid(name)): strings.csv(sorted(closure))
@@ -348,9 +343,6 @@ def _decode_derived(ts: TypeSystem, body: Dict[str, Any], path: str):
 
         forward = _edges(deps["forward"])
         lattice = {k: v for k, v in _edges(deps["lattice"]).items() if v}
-        packed_closures = {
-            strings[int(sid)]: csv for sid, csv in deps["closures"].items()
-        }
         packed_reverse = {
             strings[int(sid)]: csv for sid, csv in deps["rclosures"].items()
         }
@@ -371,7 +363,7 @@ def _decode_derived(ts: TypeSystem, body: Dict[str, Any], path: str):
     reach = ReachabilityIndex.from_snapshot(
         ts, max_depth, packed_walks, strings)
     DependencyGraph.from_snapshot(
-        ts, forward, lattice, packed_closures, packed_reverse, strings,
+        ts, forward, lattice, packed_reverse, strings,
         partition_members=partitions).install()
     return index, reach
 

@@ -122,12 +122,10 @@ def record_to_dict(record: Any, include_timing: bool = True) -> Dict[str, Any]:
 def completion_to_dict(completion: Any) -> Dict[str, Any]:
     """One explained completion: score, source text, and the ranking
     breakdown whose terms sum exactly to the score."""
-    from ..lang.printer import to_source
-
     breakdown = completion.breakdown
     return {
         "score": completion.score,
-        "text": to_source(completion.expr),
+        "text": completion.text,
         "breakdown": {
             "rows": [[feature, value] for feature, value in breakdown.rows()],
             "cached": breakdown.cached,

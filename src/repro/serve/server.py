@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import threading
 import time
 from typing import (
@@ -172,10 +173,6 @@ class CompletionServer:
     def url(self) -> str:
         return "http://{}:{}".format(self.host, self.port)
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     async def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: stop accepting, let in-flight requests
         finish (``drain=True``), stop tenant threads, flush run logs."""
@@ -232,6 +229,11 @@ class CompletionServer:
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 asyncio.TimeoutError):
             pass
+        except asyncio.CancelledError:
+            # a stop cancels idle keep-alive connections: end quietly, or
+            # the stream callback reports the cancellation as an error
+            if not self._draining:
+                raise
         finally:
             if task is not None:
                 self._connections.discard(task)
@@ -558,7 +560,13 @@ def run_server(log: Callable[[str], None] = print,
     in-flight requests, then stops.  Progress goes to ``log``: one
     ``mounted pack …`` line per pack, the warm-up, any SLO objectives and
     chaos, then ``serving on <url>`` once the port is bound (``repro
-    serve`` runs this; perfbench's serving probe waits for that line)."""
+    serve`` runs this; perfbench's serving probe waits for that line),
+    and ``draining in-flight requests...`` and ``stopped`` on SIGINT.
+
+    The SIGINT handler is the event loop's own, so the drain runs inside
+    the loop (``asyncio.run`` would otherwise turn the signal into a
+    cancellation of the serving task), and it replaces an inherited
+    ignore, as background jobs of a non-interactive shell have."""
     server = CompletionServer(log=log, **options)
 
     async def run() -> None:
@@ -571,19 +579,18 @@ def run_server(log: Callable[[str], None] = print,
         chaos = server.pool.chaos_spec
         if chaos is not None:
             log("chaos: seed={} rate={:.0%}".format(chaos.seed, chaos.rate))
+        loop = asyncio.get_running_loop()
+        interrupted = asyncio.Event()
+        loop.add_signal_handler(signal.SIGINT, interrupted.set)
         await server.start()
         log("serving on {} (Ctrl-C to drain and stop)".format(server.url))
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
+        await interrupted.wait()
+        loop.remove_signal_handler(signal.SIGINT)
         log("draining in-flight requests...")
-        asyncio.run(server.stop(drain=True))
+        await server.stop(drain=True)
         log("stopped")
+
+    asyncio.run(run())
 
 
 def start_in_thread(

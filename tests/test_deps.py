@@ -70,13 +70,6 @@ class TestGraphEdges:
         graph = DependencyGraph(ts)
         assert "N.Doc" in graph.forward("N.SpecialDoc")
 
-    def test_forward_closure_follows_chains(self, world):
-        ts, t = world
-        graph = DependencyGraph(ts)
-        closure = graph.closure("N.Doc")
-        assert {"N.Doc", "N.LayerList", "N.Layer", "System.String"} <= closure
-        assert "N.Unrelated" not in closure
-
     def test_reverse_closure_finds_dependents(self, world):
         ts, t = world
         graph = DependencyGraph(ts)
@@ -122,9 +115,9 @@ class TestChainReads:
         three = graph.chain_reads("N.Doc", 3)
         assert three == two | {"N.Layer"}
         # String is a third-round type; Resize(Size) is no chain step,
-        # though the unbounded closure follows it
+        # though it is a forward dependency
         assert graph.chain_reads("N.Doc", 9) == three | {"System.String"}
-        assert "N.Size" in graph.closure("N.Doc")
+        assert "N.Size" in graph.forward("N.Doc")
 
     def test_inherited_members_step_from_the_subtype(self, world):
         ts, t = world
@@ -235,7 +228,7 @@ class TestFootprintSeeds:
         footprint = engine._footprint(parse("img.?m.?m", context))
         assert footprint is not None
         assert footprint.reads == graph.chain_reads(document.full_name, 2)
-        assert footprint.reads < graph.closure(document.full_name)
+        assert footprint.reads < graph.chain_reads(document.full_name, 9)
 
     def test_field_access_receiver_chains_from_member_type(self, ctx):
         t, context = ctx

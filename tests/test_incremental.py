@@ -140,7 +140,6 @@ def assert_same_graph(graph, fresh):
     for name in sorted(names):
         assert graph.forward(name) == fresh.forward(name), name
         assert graph.reverse(name) == fresh.reverse(name), name
-        assert graph.closure(name) == fresh.closure(name), name
         assert graph.reverse_closure(name) == fresh.reverse_closure(name), \
             name
 
@@ -162,10 +161,10 @@ class TestPatchedGraph:
         ts = (load_pack(packs(universe)).ts if source == "pack"
               else _pristine(universe))
         graph = dependency_graph(ts)
-        # warm some closure memos so the patch has memos to keep or drop
+        # warm some memos so the patch has memos to keep or drop
         warmed = sorted(graph._forward)[::3]
         for name in warmed:
-            graph.closure(name)
+            graph.reverse_closure(name)
             graph.chain_reads(name, 2)
         for serial, edit in enumerate(edits):
             before = _snapshot(graph)
@@ -188,7 +187,7 @@ class TestPatchedGraph:
         patched = dependency_graph(ts)
         assert patched is not graph
         assert patched._forward is graph._forward
-        assert patched._closure_memo is graph._closure_memo
+        assert patched._reverse_memo is graph._reverse_memo
 
     def test_structural_edit_rebuilds(self, monkeypatch):
         ts = _pristine("paint")

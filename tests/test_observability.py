@@ -93,6 +93,31 @@ class TestTracingDifferential:
         assert runs[True] == runs[False]
 
     @pytest.mark.parametrize("name", UNIVERSES)
+    def test_traced_session_hits_the_parse_memo(self, name, monkeypatch):
+        """Traced and untraced sessions parse each distinct query once
+        and replay the parse after that; a traced ``parse`` span says
+        which it was."""
+        from repro.lang import parser
+
+        battery = battery_for(name)
+        calls = {}
+        original = parser.parse
+        for traced in (False, True):
+            parsed = calls[traced] = []
+            monkeypatch.setattr(parser, "parse", lambda source, *rest: (
+                parsed.append(source), original(source, *rest))[1])
+            session = battery.session(Workspace.builtin(name))
+            session.trace = traced
+            records = [session.complete(source)
+                       for _ in range(2) for source in battery.queries]
+            if traced:
+                flags = [[s["counters"]["cached"] for s in r.trace
+                          if s["name"] == "parse"] for r in records]
+                half = len(battery.queries)
+                assert flags == [[0]] * half + [[1]] * half
+        assert calls[True] == calls[False] == list(battery.queries)
+
+    @pytest.mark.parametrize("name", UNIVERSES)
     def test_traced_matches_golden(self, name):
         """Traced output equals the checked-in golden top-10."""
         ts, context = _universe(name)

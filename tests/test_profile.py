@@ -146,3 +146,41 @@ class TestExports:
         lines = profile.render(limit=1)
         assert lines[0].startswith("profile: 1 trace")
         assert len(lines) == 3  # summary + column header + 1 row
+
+
+class TestStreamSpans:
+    def test_stream_spans_count_their_own_pull_time(self):
+        # a stream's busy time nests the pulls of the streams it reads;
+        # its self time is its ``self_ms`` counter, and the synchronous
+        # span the outermost pull ran under gives up ``pulled_ms``
+        profile = Profile().add_trace([
+            span(1, None, "query", 0.0, 10.0),
+            span(2, 1, "expand:hole", 0.0, 9.0,
+                 {"busy_ms": 5.0, "self_ms": 1.0}),
+            span(3, 1, "dedup", 0.0, 9.0, {"busy_ms": 6.0, "self_ms": 1.0}),
+            span(4, 1, "collect", 2.0, 9.0, {"pulled_ms": 6.0}),
+            span(5, 2, "expand:var", 0.0, 9.0,
+                 {"busy_ms": 4.0, "self_ms": 4.0}),
+        ])
+        assert node(profile, "query;dedup")["inclusive_ms"] == 6.0
+        assert node(profile, "query;dedup")["self_ms"] == 1.0
+        assert node(profile, "query;collect")["self_ms"] == 1.0
+        assert node(profile, "query")["self_ms"] == pytest.approx(3.0)
+        assert sum(row["self_ms"] for row in profile.rows()) == \
+            pytest.approx(10.0)
+
+    @pytest.mark.parametrize("universe", ["paint", "geometry", "bcl"])
+    def test_battery_self_times_sum_to_the_query_total(self, universe):
+        from repro.eval.battery import battery_for
+        from repro.ide.workspace import Workspace
+
+        battery = battery_for(universe)
+        session = battery.session(Workspace.builtin(universe))
+        session.trace = True
+        profile = profile_traces(session.complete(source).trace
+                                 for source in battery.queries)
+        rows = [row for row in profile.rows()
+                if row["path"].split(";")[0] == "query"]
+        total = node(profile, "query")["inclusive_ms"]
+        assert sum(row["self_ms"] for row in rows) == \
+            pytest.approx(total, rel=0.05)

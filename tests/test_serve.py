@@ -605,3 +605,46 @@ class TestStatsCliScrape:
         assert code == 0, output
         assert "after 1 battery run(s)" in output
         assert "after 2 battery run(s)" in output
+
+
+class TestForegroundServer:
+    """``repro serve`` in a subprocess: SIGINT drains, then stops."""
+
+    def test_sigint_drains_and_stops(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        # started with SIGINT ignored, as background jobs of a
+        # non-interactive shell are: the server's own handler still runs
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--universes", "bcl",
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        try:
+            for line in process.stdout:
+                if line.startswith("serving on "):
+                    break
+            host, port = line.split()[2][len("http://"):].split(":")
+            # one idle keep-alive connection the drain must close
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=10)
+            connection.request("GET", "/v1/healthz")
+            assert connection.getresponse().read()
+            process.send_signal(signal.SIGINT)
+            rest, _ = process.communicate(timeout=30)
+            connection.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, rest
+        assert rest.splitlines()[-2:] == [
+            "draining in-flight requests...", "stopped"], rest
+        assert "Traceback" not in rest and "CancelledError" not in rest
