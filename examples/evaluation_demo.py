@@ -1,11 +1,12 @@
 """The paper's whole evaluation (Sec. 5) as a library call.
 
-Run:  python examples/evaluation_demo.py          (capped; about 10 s)
+Run:  python examples/evaluation_demo.py          (capped; about 40 s)
       python examples/evaluation_demo.py --full   (everything; several min)
 
-Builds the seven corpus projects, runs the four query families once with
-``run_all`` and prints the markdown report: run manifest, corpus census,
-Table 1, Figures 9-16, query latency and phase timings.  This is what
+Builds the seven corpus projects, runs the four query families, Table 2
+and the ablations once with ``run_all`` and prints the markdown report:
+run manifest, corpus census, Table 1, Figures 9-16, Table 2, the
+ablations, query latency and phase timings.  This is what
 ``python -m repro eval`` does.
 """
 

@@ -128,30 +128,6 @@ class MethodImpl:
             enclosing_type=self.method.declaring_type,
         )
 
-    def locals_at(self, stmt_index: int) -> Dict[str, TypeDef]:
-        """Locals live *before* statement ``stmt_index``: parameters, the
-        impl-level locals, and only the ``LocalDecl`` names already seen."""
-        scope: Dict[str, TypeDef] = {}
-        for param in self.method.params:
-            scope[param.name] = param.type
-        scope.update(self.locals)
-        for stmt in self.body[:stmt_index]:
-            if isinstance(stmt, LocalDecl):
-                scope.setdefault(stmt.name, stmt.type)
-        return scope
-
-    def context_at(self, ts: TypeSystem, stmt_index: int) -> Context:
-        """A statement-scoped context (declaration order respected), for
-        callers that want strictly-live locals rather than the whole
-        method's."""
-        this_type = None if self.method.is_static else self.method.declaring_type
-        return Context(
-            ts,
-            locals=self.locals_at(stmt_index),
-            this_type=this_type,
-            enclosing_type=self.method.declaring_type,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<MethodImpl {} ({} stmts)>".format(
             self.method.full_name, len(self.body)

@@ -1,4 +1,5 @@
-"""Evaluation harness: queries, experiments, tables, figures, reports."""
+"""Evaluation harness: queries, experiments, tables, figures, ablations
+and the markdown report."""
 
 from .experiments import (
     ArgumentResult,
@@ -27,22 +28,11 @@ from .figures import (
     proportion_top,
 )
 from .markdown import render_report
-from .report import (
-    format_bar_chart,
-    format_cdf_series,
-    format_figure10,
-    format_metrics,
-    format_figure11,
-    format_figure14,
-    format_table1,
-    format_table2,
-)
 from .runner import ResultBundle, run_all
 from .stats import ProjectCensus, corpus_census, format_census, project_census
 from .speed import (
     argument_query_times,
     best_method_query_times,
-    format_speed,
     lookup_query_times,
     method_query_times,
     speed_summary,
@@ -70,8 +60,6 @@ __all__ = [
     "figure9",
     "figure9_by_project",
     "figure11_histogram",
-    "format_bar_chart",
-    "format_metrics",
     "mean_reciprocal_rank",
     "summary_metrics",
     "figure10",
@@ -81,13 +69,6 @@ __all__ = [
     "figure14",
     "figure15",
     "figure16",
-    "format_cdf_series",
-    "format_figure10",
-    "format_figure11",
-    "format_figure14",
-    "format_speed",
-    "format_table1",
-    "format_table2",
     "lookup_query_times",
     "method_query_times",
     "proportion_top",

@@ -9,15 +9,16 @@ and :mod:`repro.eval.tables` aggregate them into the paper's tables/figures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.abstract_types import AbstractTypeAnalysis
-from ..analysis.scope import Context
 from ..baselines.intellisense import intellisense_rank
 from ..corpus.oracle import ImplAbstractTypes
 from ..corpus.program import MethodImpl, Project
 from ..engine.completer import CompletionEngine, EngineConfig
+from ..engine.index import MethodIndex, ReachabilityIndex
 from ..engine.ranking import AbstractTypeOracle, RankingConfig
 from ..lang.ast import Call, Var
 from ..lang.printer import to_source
@@ -67,15 +68,12 @@ class EvalConfig:
     #: query and later code (the paper's protocol); "full" analyses the
     #: whole corpus once; "none" disables the oracle
     abstypes: str = "exclude"
-    #: when true, query contexts contain only the locals declared *before*
-    #: the query's statement (strict liveness) rather than all of the
-    #: method's locals
-    scoped_locals: bool = False
 
     @classmethod
     def capped(cls) -> "EvalConfig":
         """The default ``repro eval`` run: the first sites of each
-        project per family, every figure on (about 10 s)."""
+        project per family, every figure on.  With Table 2 and the
+        ablations at their own caps it takes about 40 s on a 2-core VM."""
         return cls(
             limit=60,
             max_calls_per_project=40,
@@ -86,11 +84,6 @@ class EvalConfig:
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(ranking=self.ranking)
-
-    def context_for(self, impl: MethodImpl, stmt_index: int, ts) -> Context:
-        if self.scoped_locals:
-            return impl.context_at(ts, stmt_index)
-        return impl.context(ts)
 
 
 @dataclass
@@ -137,21 +130,45 @@ class LookupResult:
     seconds: float
 
 
+@dataclass
+class Sweep:
+    """What a ranking sweep shares across its variants' runs of one
+    project: the method and reachability indexes and the leave-one-out
+    analyses by site.  None of them reads a ranking term; engines, which
+    do, are never shared across variants."""
+
+    index: Optional[MethodIndex] = None
+    reachability: Optional[ReachabilityIndex] = None
+    analyses: Dict[Tuple[int, int], AbstractTypeAnalysis] = field(
+        default_factory=dict)
+
+
 class _ProjectRun:
     """Per-project engine + abstract-type analysis cache.
 
-    Analyses are cached per call site; iterating sites in order means each
-    analysis is built once and shared by every query at that site.
+    Sites arrive in order, so alone a run keeps only the current site's
+    leave-one-out analysis; in a :class:`Sweep` it keeps every site's
+    for the variants after it.
     """
 
-    def __init__(self, project: Project, cfg: EvalConfig) -> None:
+    def __init__(
+        self, project: Project, cfg: EvalConfig,
+        sweep: Optional[Sweep] = None,
+    ) -> None:
         self.project = project
         self.cfg = cfg
-        self.engine = CompletionEngine(project.ts, cfg.engine_config())
+        self.sweep = sweep
+        self.engine = CompletionEngine(
+            project.ts, cfg.engine_config(),
+            index=sweep.index if sweep else None,
+            reachability=sweep.reachability if sweep else None,
+        )
         self.engine.warm()
+        if sweep is not None:
+            sweep.index = self.engine.index
+            sweep.reachability = self.engine.reachability
         self._full_analysis: Optional[AbstractTypeAnalysis] = None
-        self._site_key: Optional[Tuple[int, int]] = None
-        self._site_analysis: Optional[AbstractTypeAnalysis] = None
+        self._analyses = sweep.analyses if sweep else {}
 
     def oracle_for(
         self, impl: MethodImpl, stmt_index: int
@@ -164,26 +181,37 @@ class _ProjectRun:
                 self._full_analysis = AbstractTypeAnalysis(self.project)
             return ImplAbstractTypes(self._full_analysis, impl)
         key = (id(impl), stmt_index)
-        if key != self._site_key:
-            self._site_key = key
-            self._site_analysis = AbstractTypeAnalysis(
+        analysis = self._analyses.get(key)
+        if analysis is None:
+            if self.sweep is None:
+                self._analyses.clear()
+            analysis = self._analyses[key] = AbstractTypeAnalysis(
                 self.project, exclude_from=(impl, stmt_index)
             )
-        assert self._site_analysis is not None
-        return ImplAbstractTypes(self._site_analysis, impl)
+        return ImplAbstractTypes(analysis, impl)
 
 
 def project_runs(
-    projects: Iterable[Project], cfg: EvalConfig
+    projects: Iterable[Project],
+    cfg: EvalConfig,
+    sweeps: Optional[Dict[str, Sweep]] = None,
 ) -> "dict[str, _ProjectRun]":
     """One warm engine (plus analysis caches) per project.
 
     Historically every family runner built a fresh engine per project,
     so a full evaluation paid four index builds per project.  Build this
     map once and pass it to each runner — ``run_all`` does — and all
-    four families share warm indexes and the cross-query cache.
+    four families share warm indexes and the cross-query cache.  A
+    ranking sweep passes the same ``sweeps`` map (a :class:`Sweep` per
+    project name, added on first use) for each of its variants.
     """
-    return {project.name: _ProjectRun(project, cfg) for project in projects}
+    return {
+        project.name: _ProjectRun(
+            project, cfg,
+            None if sweeps is None else sweeps.setdefault(project.name,
+                                                          Sweep()))
+        for project in projects
+    }
 
 
 def _run_for(
@@ -204,10 +232,7 @@ def _run_for(
 
 
 def _capped(items: Iterable, cap: Optional[int]) -> List:
-    items = list(items)
-    if cap is not None:
-        return items[:cap]
-    return items
+    return list(islice(items, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +262,7 @@ def _evaluate_call(
     run_log: Optional[RunLog] = None,
 ) -> MethodCallResult:
     cfg = run.cfg
-    context = cfg.context_for(impl, index, run.project.ts)
+    context = impl.context(run.project.ts)
     oracle = run.oracle_for(impl, index)
     subsets = queries.method_query_subsets(call)
 
@@ -312,7 +337,7 @@ def run_argument_prediction(
         for impl, index, call in project.iter_calls():
             if budget is not None and budget <= 0:
                 break
-            context = cfg.context_for(impl, index, project.ts)
+            context = impl.context(project.ts)
             for position, arg in enumerate(call.args):
                 if budget is not None:
                     if budget <= 0:
@@ -373,7 +398,7 @@ def run_assignment_prediction(
             project.iter_assignments(), cfg.max_assignments_per_project
         )
         for impl, index, assign in sites:
-            context = cfg.context_for(impl, index, project.ts)
+            context = impl.context(project.ts)
             for variant, strip_target, strip_source in queries.ASSIGNMENT_VARIANTS:
                 pe = queries.assignment_query(assign, strip_target, strip_source)
                 if pe is None:
@@ -411,7 +436,7 @@ def run_comparison_prediction(
             project.iter_comparisons(), cfg.max_comparisons_per_project
         )
         for impl, index, compare in sites:
-            context = cfg.context_for(impl, index, project.ts)
+            context = impl.context(project.ts)
             for variant, strip_left, strip_right in queries.COMPARISON_VARIANTS:
                 pe = queries.comparison_query(compare, strip_left, strip_right)
                 if pe is None:
@@ -433,8 +458,3 @@ def run_comparison_prediction(
                     )
                 )
     return results
-
-
-def with_ranking(cfg: EvalConfig, ranking: RankingConfig) -> EvalConfig:
-    """A copy of ``cfg`` using a different ranking configuration."""
-    return replace(cfg, ranking=ranking)

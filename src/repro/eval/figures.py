@@ -1,7 +1,7 @@
 """Aggregation of experiment results into the paper's figure series.
 
 Every ``figureN`` function returns plain data (dicts/lists of floats) that
-:mod:`repro.eval.report` renders as text; benchmarks print those renderings.
+:mod:`repro.eval.markdown` renders as report sections.
 ``None`` ranks (truth not found within the scan limit) count as "worse than
 any bucket", exactly as an off-the-chart rank does in the paper's CDFs.
 """

@@ -7,7 +7,8 @@ recorded it (docs/OBSERVABILITY.md):
 * a **run manifest** table — label, run id, git SHA, config signature,
   universe versions, seed — so a report is attributable to the exact
   code and configuration that produced it;
-* the corpus census, Table 1 and Figures 9–16;
+* the corpus census, Table 1, Figures 9–16, Table 2 and the three
+  ablations, each section at fixed caps it states;
 * per-family query latency;
 * a **phase timing** table from the run log's phase records and a
   per-family query rollup, so the report says where the wall-clock
@@ -22,6 +23,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 
 from ..corpus.program import Project
 from ..obs.runlog import RunLog
+from .experiments import EvalConfig
 from .figures import (
     figure9,
     figure9_by_project,
@@ -42,7 +44,7 @@ from .speed import (
     speed_summary,
 )
 from .stats import corpus_census
-from .tables import table1
+from .tables import Ablation, Table2, table1
 
 
 def _pct(value: float) -> str:
@@ -80,6 +82,54 @@ def _speed_row(title: str, summary: Mapping[str, float]) -> List[str]:
         _pct(summary["under_100ms"]),
         _pct(summary["under_500ms"]),
     ]
+
+
+def _caps(cfg: EvalConfig) -> str:
+    caps = [(name, getattr(cfg, "max_{}_per_project".format(field)))
+            for name, field in (("calls", "calls"),
+                                ("argument positions", "arguments"),
+                                ("assignments", "assignments"),
+                                ("comparisons", "comparisons"))]
+    return "Caps: scan depth {}; first sites per project: {}.".format(
+        cfg.limit, ", ".join("{} {}".format(name, cap)
+                             for name, cap in caps if cap is not None))
+
+
+def _table2_section(grid: Table2) -> List[str]:
+    out = ["", "## Table 2 — ranking-term sensitivity (top 20)", "",
+           _caps(grid.cfg), ""]
+    return out + _md_table(
+        ["Family", "Row", "Count"] + grid.columns,
+        [[family, row, str(len(by_label[grid.columns[-1]]))]
+         + ["{:.2f}".format(grid.top((family, row), label))
+            for label in grid.columns]
+         for (family, row), by_label in grid.ranks.items()])
+
+
+def _ablation_section(title: str, note: str, ablation: Ablation,
+                      headers: List[str], cell) -> List[str]:
+    out = ["", "## Ablation — " + title, "",
+           note + " " + _caps(ablation.cfg), ""]
+    return out + _md_table(headers, [[label, cell(value)] for label, value
+                                     in ablation.arms.items()])
+
+
+def _ablation_sections(bundle: ResultBundle) -> List[str]:
+    reach = bundle.reachability
+    out = _ablation_section(
+        "methods at top-1", "Table 2's Methods/All row at cutoff 1, from "
+        "the same sweep.", bundle.top1, ["ranking", "top-1"], _pct)
+    out += _ablation_section(
+        "reachability pruning", "{} argument queries of {}, abstract types "
+        "off.".format(reach.queries, reach.project), reach,
+        ["arm", "time"], "{:.2f} s".format)
+    out += ["", "Rank lists equal with and without the index: {}.".format(
+        "yes" if reach.identical else "NO")]
+    return out + _ablation_section(
+        "abstract types", "Guessable argument queries in the top 5 under "
+        "the paper's per-site protocol (exclude), the completed project "
+        "(full: the maturity leak) and none.", bundle.abstypes,
+        ["mode", "top-5"], _pct)
 
 
 def _manifest_section(manifest: Dict[str, Any]) -> List[str]:
@@ -219,6 +269,8 @@ def render_report(
 
     out += ["", "## Figure 16 — comparisons", ""]
     out += _cdf_table(figure16(comparisons))
+    if bundle.table2 is not None:
+        out += _table2_section(bundle.table2) + _ablation_sections(bundle)
 
     out += ["", "## Query latency", ""]
     out += _md_table(

@@ -56,19 +56,3 @@ def argument_query_times(results: List[ArgumentResult]) -> List[float]:
 def lookup_query_times(results: List[LookupResult]) -> List[float]:
     return [r.seconds for r in results]
 
-
-def format_speed(title: str, summary: Dict[str, float]) -> str:
-    if summary.get("count", 0) == 0:
-        return "{}: no queries".format(title)
-    return (
-        "{}: n={:d}  p50={:.1f}ms  p90={:.1f}ms  p99={:.1f}ms  "
-        "<100ms: {:.1f}%  <500ms: {:.1f}%".format(
-            title,
-            int(summary["count"]),
-            summary["p50_ms"],
-            summary["p90_ms"],
-            summary["p99_ms"],
-            100 * summary["under_100ms"],
-            100 * summary["under_500ms"],
-        )
-    )

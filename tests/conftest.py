@@ -122,3 +122,69 @@ def scaling_spec(size: int) -> SynthesisSpec:
 def tiny_project():
     """A small deterministic synthetic project for end-to-end tests."""
     return synthesize_project(TINY_SPEC)
+
+
+@pytest.fixture(scope="session")
+def tiny_eval(tiny_project):
+    """One ``run_all`` over the tiny project, recorded in a run log."""
+    from repro.eval import EvalConfig, run_all
+    from repro.obs import RunLog
+
+    cfg = EvalConfig(
+        limit=25,
+        max_calls_per_project=8,
+        max_arguments_per_project=10,
+        max_assignments_per_project=5,
+        max_comparisons_per_project=4,
+    )
+    run_log = RunLog("tiny")
+    return run_all([tiny_project], cfg, run_log), run_log
+
+
+@pytest.fixture(scope="session")
+def cli_eval(tmp_path_factory):
+    """One capped ``repro eval`` CLI run over the seven corpus projects,
+    shared by every test of the command's wiring: it writes the report,
+    the run log and the saved results, and compares against a baseline
+    of the same four families.  Every ``EvalConfig`` it builds — the
+    families' and each section's — is cut to tiny per-project caps."""
+    from types import SimpleNamespace
+
+    import repro.eval.experiments as exp
+    from repro.__main__ import main as cli_main
+    from repro.corpus import build_all_projects
+    from repro.eval.runner import ResultBundle
+
+    real_init = exp.EvalConfig.__init__
+
+    def tiny_init(self, **kwargs):
+        kwargs["max_calls_per_project"] = 3
+        kwargs["max_arguments_per_project"] = 1
+        kwargs["max_assignments_per_project"] = 2
+        kwargs["max_comparisons_per_project"] = 2
+        kwargs.setdefault("limit", 20)
+        real_init(self, **kwargs)
+
+    root = tmp_path_factory.mktemp("cli-eval")
+    run = SimpleNamespace(report=root / "r.md", log=root / "r.ndjson",
+                          saved=root / "b.json", baseline=root / "base.json",
+                          output=[])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exp.EvalConfig, "__init__", tiny_init)
+        projects = build_all_projects()
+        cfg = exp.EvalConfig.capped()
+        runs = exp.project_runs(projects, cfg)
+        ResultBundle(
+            methods=exp.run_method_prediction(projects, cfg, runs),
+            arguments=exp.run_argument_prediction(projects, cfg, runs),
+            assignments=exp.run_assignment_prediction(projects, cfg, runs),
+            comparisons=exp.run_comparison_prediction(projects, cfg, runs),
+        ).save(str(run.baseline))
+        run.code = cli_main(
+            ["eval", "-o", str(run.report), "--run-log", str(run.log),
+             "--seed", "3", "--save", str(run.saved),
+             "--compare", str(run.baseline)],
+            write=run.output.append,
+        )
+    run.text = run.report.read_text()
+    return run

@@ -54,17 +54,19 @@ def test_evaluation_demo(capsys, monkeypatch):
         sys, "argv", ["evaluation_demo.py"], raising=False
     )
 
-    # shrink the demo's capped config further by monkeypatching EvalConfig
+    # shrink every config the demo builds (its families' and each
+    # section's) to one site per family and project
     def tiny_init(self, **kwargs):
         kwargs.setdefault("limit", 25)
-        kwargs["max_calls_per_project"] = 4
-        kwargs["max_arguments_per_project"] = 6
-        kwargs["max_assignments_per_project"] = 3
-        kwargs["max_comparisons_per_project"] = 2
+        kwargs["max_calls_per_project"] = 1
+        kwargs["max_arguments_per_project"] = 1
+        kwargs["max_assignments_per_project"] = 1
+        kwargs["max_comparisons_per_project"] = 1
         real_init(self, **kwargs)
 
     monkeypatch.setattr(exp.EvalConfig, "__init__", tiny_init)
     out = run_example("evaluation_demo.py", capsys)
     assert "Figure 9" in out
     assert "Figure 16" in out
+    assert "Table 2" in out
     assert "Totals" in out

@@ -1,14 +1,20 @@
 """End-to-end experiment runner tests on the tiny project."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval import (
+    TABLE2_CONFIGS,
+    TABLE2_ROWS,
     EvalConfig,
     run_argument_prediction,
     run_assignment_prediction,
     run_comparison_prediction,
     run_method_prediction,
+    table2,
 )
+from repro.eval.tables import _variant_ranks
 
 
 @pytest.fixture(scope="module")
@@ -119,26 +125,6 @@ class TestDeterminism:
         assert first == second
 
 
-class TestScopedLocals:
-    def test_scoped_mode_runs(self, tiny):
-        from dataclasses import replace
-
-        base = EvalConfig(
-            limit=25, max_calls_per_project=6,
-            with_return_type=False, with_intellisense=False,
-        )
-        scoped = replace(base, scoped_locals=True)
-        full_results = run_method_prediction([tiny], base)
-        scoped_results = run_method_prediction([tiny], scoped)
-        assert len(full_results) == len(scoped_results)
-        # scoped contexts see a subset of locals, so ranks can only be
-        # equal or better-or-missing — at minimum the runs complete and
-        # report the same sites
-        assert [r.method_name for r in full_results] == [
-            r.method_name for r in scoped_results
-        ]
-
-
 class TestAbstypeModes:
     def test_modes_run(self, tiny):
         for mode in ("exclude", "full", "none"):
@@ -151,3 +137,24 @@ class TestAbstypeModes:
             )
             results = run_method_prediction([tiny], cfg)
             assert len(results) == 5
+
+
+class TestTable2:
+    def test_shared_analyses_match_per_variant_runs(self, tiny):
+        """``table2`` builds each site's leave-one-out analysis once for
+        all 15 variants; every row must equal a per-variant run that
+        builds its own engines and analyses per family."""
+        base = EvalConfig(
+            limit=25,
+            max_calls_per_project=3,
+            max_arguments_per_project=4,
+            max_assignments_per_project=2,
+            max_comparisons_per_project=2,
+        )
+        grid = table2([tiny], base)
+        for config in TABLE2_CONFIGS:
+            cfg = replace(base, ranking=config, with_return_type=False,
+                          with_intellisense=False)
+            reference = dict(_variant_ranks(tiny, cfg, None))
+            assert {row: grid.ranks[row][config.label()]
+                    for row in TABLE2_ROWS} == reference

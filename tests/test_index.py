@@ -1,5 +1,7 @@
 """Tests for the method index (Fig. 8) and the reachability index."""
 
+import time
+
 import pytest
 
 from repro import MethodIndex, ReachabilityIndex, TypeSystem
@@ -266,3 +268,28 @@ class TestIncrementalRefresh:
         dog.add_field(Field("zzBone", ts.string_type))
         reach.refresh()
         assert (dog.full_name, False) not in reach._walk_fp
+
+
+class TestScaling:
+    def test_query_latency_grows_slower_than_the_universe(self):
+        """The method index keeps candidate sets "orders of magnitude
+        smaller than the set of all methods": 9x the classes may not
+        cost 9x the query time."""
+        from repro import CompletionEngine, parse
+        from repro.corpus import synthesize_project
+        from tests.conftest import scaling_spec
+
+        rows = []
+        for size in (10, 30, 90):
+            project = synthesize_project(scaling_spec(size))
+            methods = sum(1 for _ in project.ts.all_methods())
+            context = project.impls[0].context(project.ts)
+            engine = CompletionEngine(project.ts, index=MethodIndex(project.ts))
+            names = [name for name, _ in list(context.locals.items())[:2]]
+            pe = parse("?({{{}}})".format(", ".join(names)), context)
+            started = time.perf_counter()
+            for _ in range(20):
+                engine.complete(pe, context, n=10)
+            rows.append((methods, time.perf_counter() - started))
+        (small_methods, small_s), (large_methods, large_s) = rows[0], rows[-1]
+        assert large_s < small_s * (large_methods / small_methods)

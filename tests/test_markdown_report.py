@@ -4,25 +4,23 @@ import json
 
 import pytest
 
-from repro.__main__ import main as cli_main
-from repro.eval import EvalConfig, render_report, run_all
+from repro.eval import render_report
 from repro.eval.runner import ResultBundle
-from repro.obs import RunLog, validate_runlog_text
+from repro.obs import validate_runlog_text
+
+SECTION_HEADINGS = [
+    "## Table 2 — ranking-term sensitivity (top 20)",
+    "## Ablation — methods at top-1",
+    "## Ablation — reachability pruning",
+    "## Ablation — abstract types",
+]
 
 
 @pytest.fixture(scope="module")
-def report(request):
-    tiny = request.getfixturevalue("tiny_project")
-    cfg = EvalConfig(
-        limit=25,
-        max_calls_per_project=8,
-        max_arguments_per_project=10,
-        max_assignments_per_project=5,
-        max_comparisons_per_project=4,
-    )
-    run_log = RunLog("tiny")
-    bundle = run_all([tiny], cfg, run_log)
-    return render_report(bundle, [tiny], run_log, title="Tiny report")
+def report(tiny_eval, tiny_project):
+    bundle, run_log = tiny_eval
+    return render_report(bundle, [tiny_project], run_log,
+                         title="Tiny report")
 
 
 class TestReport:
@@ -37,6 +35,7 @@ class TestReport:
             "## Figure 14",
             "## Figure 15",
             "## Figure 16",
+            *SECTION_HEADINGS,
             "## Query latency",
             "## Run manifest",
             "## Phase timings",
@@ -55,46 +54,14 @@ class TestReport:
         assert "%" in report
 
 
-@pytest.fixture
-def tiny_caps(monkeypatch):
-    """Shrink the capped config so a CLI run stays fast."""
-    import repro.eval.experiments as exp
-
-    real_init = exp.EvalConfig.__init__
-
-    def tiny_init(self, **kwargs):
-        kwargs["max_calls_per_project"] = 3
-        kwargs["max_arguments_per_project"] = 4
-        kwargs["max_assignments_per_project"] = 2
-        kwargs["max_comparisons_per_project"] = 2
-        kwargs.setdefault("limit", 20)
-        real_init(self, **kwargs)
-
-    monkeypatch.setattr(exp.EvalConfig, "__init__", tiny_init)
-
-
 class TestCliWiring:
-    def test_eval_markdown_writes_file(self, tmp_path, tiny_caps):
-        target = tmp_path / "report.md"
-        output = []
-        code = cli_main(["eval", "-o", str(target)], write=output.append)
-        assert code == 0
-        text = target.read_text()
-        assert "## Table 1" in text
-        assert "WiX" in text
+    def test_eval_markdown_writes_file(self, cli_eval):
+        assert cli_eval.code == 0
+        assert "## Table 1" in cli_eval.text
+        assert "WiX" in cli_eval.text
 
-    def test_one_family_pass_feeds_report_log_and_save(
-        self, tmp_path, tiny_caps
-    ):
-        report, log, saved = (tmp_path / "r.md", tmp_path / "r.ndjson",
-                              tmp_path / "b.json")
-        code = cli_main(
-            ["eval", "-o", str(report), "--run-log", str(log),
-             "--seed", "3", "--save", str(saved)],
-            write=lambda line: None,
-        )
-        assert code == 0
-        text = report.read_text()
+    def test_one_family_pass_feeds_report_log_and_save(self, cli_eval):
+        text = cli_eval.text
         assert "## Run manifest" in text
         assert "| config signature | None |" not in text
         assert "| seed | 3 |" in text
@@ -102,9 +69,31 @@ class TestCliWiring:
                       if line.startswith("| eval/")]
         assert [row.split(" | ")[0] for row in phase_rows] == [
             "| eval/methods", "| eval/arguments", "| eval/assignments",
-            "| eval/comparisons"]
-        log_text = log.read_text()
+            "| eval/comparisons", "| eval/table2", "| eval/ablation-top1",
+            "| eval/ablation-reachability", "| eval/ablation-abstypes"]
+        log_text = cli_eval.log.read_text()
         assert validate_runlog_text(log_text) == []
         manifest = json.loads(log_text.splitlines()[0])
         assert manifest["config_signature"] is not None
-        assert ResultBundle.load(str(saved)).methods
+        assert ResultBundle.load(str(cli_eval.saved)).methods
+
+    def test_sections_render_at_tiny_caps(self, cli_eval):
+        """Table 2 and the three ablations follow Figure 16 and state
+        the caps they ran at."""
+        text = cli_eval.text
+        positions = [text.index(heading) for heading in
+                     ["## Figure 16"] + SECTION_HEADINGS + ["## Query latency"]]
+        assert positions == sorted(positions)
+        sections = text.split("## Figure 16")[1].split("## Query latency")[0]
+        assert sections.count("Caps: scan depth") == 4
+        assert ("first sites per project: calls 3, argument positions 1, "
+                "assignments 2, comparisons 2") in sections
+        assert "argument queries of WiX" in sections
+        for label in ("| All |", "| -t |", "| -a |", "| -at |", "| +d |"):
+            assert label in sections.split("## Ablation — methods at top-1")[1]
+
+    def test_reachability_pruning_changes_no_rank(self, cli_eval):
+        """Pruning is an optimisation: the section's two arms rank every
+        WiX argument query the same."""
+        assert ("Rank lists equal with and without the index: yes."
+                in cli_eval.text)

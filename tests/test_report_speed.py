@@ -1,85 +1,14 @@
-"""Tests for text rendering and the latency summaries."""
+"""Tests for the latency summaries."""
 
 import pytest
 
-from repro.eval import (
-    figure9,
-    format_cdf_series,
-    format_figure10,
-    format_figure11,
-    format_figure14,
-    format_speed,
-    format_table1,
-    speed_summary,
-    table1,
-)
+from repro.eval import speed_summary
 from repro.eval.speed import (
     argument_query_times,
     best_method_query_times,
     method_query_times,
 )
 from tests.test_figures_tables import make_arg, make_call
-
-
-class TestReport:
-    def test_table1_contains_rows_and_totals(self):
-        rows = table1([make_call("Paint.Net", rank=1)])
-        text = format_table1(rows)
-        assert "Paint.Net" in text
-        assert "Totals" in text
-        assert "# top 10" in text
-
-    def test_cdf_series_renders_percentages(self):
-        series = figure9([make_call(rank=1)], ranks_at=(1, 10))
-        text = format_cdf_series("Fig 9", series)
-        assert "<= 1" in text and "100.0%" in text
-        assert "Instance" in text and "Static" in text
-
-    def test_figure10_format(self):
-        from repro.eval import figure10
-
-        text = format_figure10(figure10([make_call(arity=3, rank=1)]))
-        assert "arity" in text and "3" in text
-
-    def test_figure11_format(self):
-        from repro.eval import figure11
-
-        text = format_figure11(figure11([make_call()]), "Fig 11")
-        assert "Fig 11" in text and "we_win" in text
-
-    def test_figure14_format(self):
-        from repro.eval import figure14
-
-        text = format_figure14(figure14([make_arg()]))
-        assert "local" in text
-
-
-class TestBarChartAndMetrics:
-    def test_bar_chart(self):
-        from repro.eval import format_bar_chart
-
-        text = format_bar_chart("kinds", {"local": 0.5, "chain": 0.25},
-                                width=8)
-        assert "kinds" in text
-        assert "####" in text
-        assert "50.0%" in text
-
-    def test_bar_chart_clamps(self):
-        from repro.eval import format_bar_chart
-
-        text = format_bar_chart("odd", {"x": 1.5, "y": -0.2}, width=4)
-        assert "####" in text  # clamped to full bar
-
-    def test_format_metrics(self):
-        from repro.eval import format_metrics, summary_metrics
-
-        text = format_metrics("methods", summary_metrics([1, 2, None]))
-        assert "MRR=" in text and "top10=" in text
-
-    def test_format_metrics_empty(self):
-        from repro.eval import format_metrics, summary_metrics
-
-        assert "no queries" in format_metrics("x", summary_metrics([]))
 
 
 class TestSpeed:
@@ -99,10 +28,3 @@ class TestSpeed:
         assert len(best_method_query_times(calls)) == 2
         args = [make_arg(), make_arg(guessable=False)]
         assert len(argument_query_times(args)) == 1
-
-    def test_format_speed(self):
-        text = format_speed("methods", speed_summary([0.01, 0.2]))
-        assert "methods" in text and "<500ms" in text
-
-    def test_format_speed_empty(self):
-        assert "no queries" in format_speed("x", speed_summary([]))

@@ -2,24 +2,13 @@
 
 import pytest
 
-from repro.eval import EvalConfig
 from repro.eval.persistence import compare_runs
-from repro.eval.runner import ResultBundle, run_all
+from repro.eval.runner import ResultBundle
 
 
 @pytest.fixture(scope="module")
-def bundle(request):
-    tiny = request.getfixturevalue("tiny_project")
-    cfg = EvalConfig(
-        limit=25,
-        max_calls_per_project=6,
-        max_arguments_per_project=8,
-        max_assignments_per_project=4,
-        max_comparisons_per_project=3,
-        with_return_type=False,
-        with_intellisense=False,
-    )
-    return run_all([tiny], cfg)
+def bundle(tiny_eval):
+    return tiny_eval[0]
 
 
 class TestRunAll:
@@ -43,28 +32,23 @@ class TestRunAll:
             not deltas.get("regressed") for deltas in report.values()
         )
 
-    def test_cli_save_and_compare(self, bundle, tmp_path, monkeypatch):
-        from repro.__main__ import main as cli_main
-        import repro.eval.experiments as exp
+    def test_sections_populated(self, bundle):
+        assert bundle.table2.columns[0] == "All"
+        assert len(bundle.table2.columns) == 15
+        assert list(bundle.top1.arms) == ["All", "-t", "-a", "-at", "+d"]
+        assert bundle.reachability.project == "Tiny"
+        assert bundle.reachability.identical
+        assert list(bundle.abstypes.arms) == ["exclude", "full", "none"]
 
-        real_init = exp.EvalConfig.__init__
-
-        def tiny_init(self, **kwargs):
-            kwargs["max_calls_per_project"] = 3
-            kwargs["max_arguments_per_project"] = 3
-            kwargs["max_assignments_per_project"] = 2
-            kwargs["max_comparisons_per_project"] = 1
-            kwargs.setdefault("limit", 15)
-            real_init(self, **kwargs)
-
-        monkeypatch.setattr(exp.EvalConfig, "__init__", tiny_init)
-        baseline = tmp_path / "baseline.json"
-        output = []
-        assert cli_main(["eval", "--save", str(baseline)],
-                        write=output.append) == 0
-        assert baseline.exists()
-        output.clear()
-        assert cli_main(["eval", "--compare", str(baseline)],
-                        write=output.append) == 0
-        text = "\n".join(output)
-        assert "family" in text and "stable" in text
+    def test_cli_save_and_compare(self, cli_eval):
+        """The shared CLI run saved its families and compared them with
+        a baseline of the same families: every verdict is stable."""
+        assert cli_eval.code == 0
+        assert cli_eval.saved.exists()
+        text = "\n".join(cli_eval.output)
+        verdicts = {line.split()[0]: line.split()[-1]
+                    for line in text.splitlines()[-4:]}
+        assert "family" in text
+        assert verdicts == {family: "stable" for family in
+                            ("arguments", "assignments", "comparisons",
+                             "methods")}
