@@ -85,11 +85,10 @@ def _speed_row(title: str, summary: Mapping[str, float]) -> List[str]:
 
 
 def _caps(cfg: EvalConfig) -> str:
-    caps = [(name, getattr(cfg, "max_{}_per_project".format(field)))
-            for name, field in (("calls", "calls"),
-                                ("argument positions", "arguments"),
-                                ("assignments", "assignments"),
-                                ("comparisons", "comparisons"))]
+    caps = (("calls", cfg.max_calls_per_project),
+            ("argument positions", cfg.max_arguments_per_project),
+            ("assignments", cfg.max_assignments_per_project),
+            ("comparisons", cfg.max_comparisons_per_project))
     return "Caps: scan depth {}; first sites per project: {}.".format(
         cfg.limit, ", ".join("{} {}".format(name, cap)
                              for name, cap in caps if cap is not None))

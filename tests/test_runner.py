@@ -40,6 +40,20 @@ class TestRunAll:
         assert bundle.reachability.identical
         assert list(bundle.abstypes.arms) == ["exclude", "full", "none"]
 
+    def test_sections_show_the_papers_sensitivities(self, bundle):
+        """Type distance carries method prediction (visible at top-1),
+        depth carries argument prediction, and abstract types never
+        cost more than noise."""
+        grid = bundle.table2
+        top1, abstypes = bundle.top1.arms, bundle.abstypes.arms
+        methods, arguments = ("Methods", "All"), ("Arguments", "Normal")
+        assert grid.top(methods, "All") >= grid.top(methods, "-at") - 0.05
+        assert top1["All"] > top1["-at"]
+        assert grid.top(arguments, "+d") >= grid.top(arguments, "+n")
+        assert grid.top(arguments, "All") >= grid.top(arguments, "-d") + 0.1
+        assert abstypes["exclude"] >= abstypes["none"] - 0.05
+        assert abstypes["full"] >= abstypes["exclude"] - 0.05
+
     def test_cli_save_and_compare(self, cli_eval):
         """The shared CLI run saved its families and compared them with
         a baseline of the same families: every verdict is stable."""
