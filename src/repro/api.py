@@ -72,7 +72,6 @@ from .codemodel import (
     TypeSystem,
 )
 from .engine import (
-    CacheStats,
     CancellationToken,
     Completion,
     CompletionCache,
@@ -508,7 +507,6 @@ __all__ = [
     "TypeKind",
     "TypeSystem",
     # engine
-    "CacheStats",
     "CancellationToken",
     "Completion",
     "CompletionCache",

@@ -8,7 +8,7 @@ from .budget import (
     TRUNCATED_CANCELLED,
     TRUNCATED_TIMEOUT,
 )
-from .cache import CacheStats, CompletionCache, context_signature
+from .cache import CompletionCache, context_signature
 from .completer import (
     Completion,
     CompletionEngine,
@@ -28,7 +28,6 @@ from .streams import (
 __all__ = [
     "AbstractTypeOracle",
     "Algorithm1",
-    "CacheStats",
     "CancellationToken",
     "Completion",
     "CompletionCache",

@@ -27,7 +27,7 @@ across queries on one engine:
   lists name resolution read, or universe-wide for a bare method name);
   it has no accepting half, because a parse never searches for
   candidates.  Parses live in their own LRU map, bounded by the same
-  ``max_streams``, and are left out of every counter: the stats
+  ``max_streams``, and are left out of every counter: the counters
   describe the completion memo, which the parse memo only fronts.
 
 **Invalidation** is two-tier.  Every public lookup compares the
@@ -64,8 +64,12 @@ answers — is pinned in ``tests/test_cache_mutation.py`` and fuzzed on
 random universes by ``repro fuzz``'s mutation mode (docs/FUZZING.md);
 the fine-grained scheme keeps both green because a preserved entry's
 footprint provably excludes every mutated type (docs/PERFORMANCE.md
-spells out the argument).  :class:`CacheStats` attributes each
-invalidation to its tier and counts the entries preserved.
+spells out the argument).  The cache counts into its engine's
+:class:`~repro.obs.metrics.Metrics` registry, one ``cache_<name>``
+counter per entry of :data:`COUNTERS`: lookups by outcome, each
+invalidation by tier, the entries fine passes preserve and drop, and
+LRU evictions.  :meth:`CompletionCache.snapshot` is the one read-only
+view of them.
 
 The cache is deliberately **bypassed** by the engine when a query
 cannot safely share state (see ``CompletionEngine._stream_cache``):
@@ -90,7 +94,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -107,6 +110,7 @@ from ..analysis.deps import QueryFootprint
 from ..analysis.scope import Context
 from ..codemodel.typesystem import TypeSystem
 from ..lang.ast import Expr
+from ..obs.metrics import Metrics
 from .streams import Materialized, Scored
 
 #: sentinel distinguishing a recorded ``None`` footprint from no record
@@ -115,6 +119,17 @@ _MISSING = object()
 #: a per-entry dependency footprint (reads closure + accepting set), or
 #: ``None`` for universe-wide entries
 Footprint = Optional[QueryFootprint]
+
+#: what a cache counts, each as registry counter ``cache_<name>``:
+#: sub-stream and root-pool lookups by outcome; version changes handled
+#: by a whole-cache clear (coarse) or by dropping only footprint-affected
+#: entries (fine); the entries (streams + root-pool groups) fine passes
+#: keep alive and drop; and streams dropped by the LRU bound
+COUNTERS = (
+    "stream_hits", "stream_misses", "roots_hits", "roots_misses",
+    "invalidations_coarse", "invalidations_fine",
+    "entries_preserved", "entries_dropped", "evictions",
+)
 
 
 def context_signature(context: Context) -> Tuple:
@@ -130,64 +145,6 @@ def context_signature(context: Context) -> Tuple:
         context.this_type.full_name if context.this_type else None,
         context.enclosing_type.full_name if context.enclosing_type else None,
     )
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters per cache kind, plus lifecycle events."""
-
-    stream_hits: int = 0
-    stream_misses: int = 0
-    roots_hits: int = 0
-    roots_misses: int = 0
-    #: whole-cache clears triggered by a TypeSystem version change whose
-    #: mutation window could not be invalidated selectively
-    invalidations_coarse: int = 0
-    #: version changes handled by dropping only footprint-affected entries
-    invalidations_fine: int = 0
-    #: entries (streams + root-pool groups) kept alive across
-    #: fine-grained invalidations
-    entries_preserved: int = 0
-    #: entries dropped by fine-grained invalidations
-    entries_dropped: int = 0
-    #: streams dropped by the LRU bound
-    evictions: int = 0
-
-    @property
-    def invalidations(self) -> int:
-        """Total version-change invalidations, either tier."""
-        return self.invalidations_coarse + self.invalidations_fine
-
-    @property
-    def hits(self) -> int:
-        return self.stream_hits + self.roots_hits
-
-    @property
-    def misses(self) -> int:
-        return self.stream_misses + self.roots_misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Overall hit rate in [0, 1]; 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "stream_hits": self.stream_hits,
-            "stream_misses": self.stream_misses,
-            "roots_hits": self.roots_hits,
-            "roots_misses": self.roots_misses,
-            "invalidations": self.invalidations,
-            "invalidations_coarse": self.invalidations_coarse,
-            "invalidations_fine": self.invalidations_fine,
-            "entries_preserved": self.entries_preserved,
-            "entries_dropped": self.entries_dropped,
-            "evictions": self.evictions,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class _RootPool:
@@ -277,13 +234,14 @@ class _FootprintIndex:
 class CompletionCache:
     """Version-synchronised cross-query memo for one engine.
 
+    ``metrics`` is the registry the cache counts into, its engine's.
     ``max_streams`` bounds the stream LRU map; the root pools are at
     most two entries (one per depth flag) and are never evicted.
     """
 
-    def __init__(self, max_streams: int = 512) -> None:
+    def __init__(self, metrics: Metrics, max_streams: int = 512) -> None:
+        self.metrics = metrics
         self.max_streams = max_streams
-        self.stats = CacheStats()
         self._version: Optional[int] = None
         self._streams: "OrderedDict[Hashable, Materialized]" = OrderedDict()
         self._stream_fp = _FootprintIndex()
@@ -311,7 +269,7 @@ class CompletionCache:
         )
         if mutated is None:
             if self._version is not None and populated:
-                self.stats.invalidations_coarse += 1
+                self.metrics.incr("cache_invalidations_coarse")
             self._clear_entries()
         else:
             for key in self._parse_fp.affected(mutated, frozenset()):
@@ -359,12 +317,14 @@ class CompletionCache:
             preserved += len(pool.groups)
             pool.missing |= set(mutated)
             pool.flat = None
-        self.stats.invalidations_fine += 1
-        self.stats.entries_dropped += dropped
-        self.stats.entries_preserved += preserved
+        self.metrics.record({
+            "cache_invalidations_fine": 1,
+            "cache_entries_dropped": dropped,
+            "cache_entries_preserved": preserved,
+        })
 
     def clear(self) -> None:
-        """Forget every cached entry (stats are kept)."""
+        """Forget every cached entry (the counters are kept)."""
         with self._lock:
             self._clear_entries()
             self._version = None
@@ -430,9 +390,9 @@ class CompletionCache:
             shared = self._streams.get(key)
             if shared is not None and not shared.broken:
                 self._streams.move_to_end(key)
-                self.stats.stream_hits += 1
+                self.metrics.incr("cache_stream_hits")
                 return shared
-            self.stats.stream_misses += 1
+            self.metrics.incr("cache_stream_misses")
             return None
 
     def insert(
@@ -457,7 +417,7 @@ class CompletionCache:
             while len(self._streams) > self.max_streams:
                 evicted, _ = self._streams.popitem(last=False)
                 self._stream_fp.forget(evicted)
-                self.stats.evictions += 1
+                self.metrics.incr("cache_evictions")
             return shared
 
     def global_roots(
@@ -486,7 +446,7 @@ class CompletionCache:
                 pool = None  # cannot patch: rebuild below
             if pool is not None:
                 if pool.missing:
-                    self.stats.roots_misses += 1
+                    self.metrics.incr("cache_roots_misses")
                     regenerated = make_missing(sorted(pool.missing))
                     for name, group in regenerated.items():
                         if group:
@@ -496,11 +456,11 @@ class CompletionCache:
                     pool.missing.clear()
                     pool.flat = None
                 else:
-                    self.stats.roots_hits += 1
+                    self.metrics.incr("cache_roots_hits")
                 if pool.flat is None:
                     pool.flat = self._flatten(ts, pool)
                 return pool.flat
-            self.stats.roots_misses += 1
+            self.metrics.incr("cache_roots_misses")
             pool = _RootPool(make_groups())
             self._roots[key] = pool
             pool.flat = self._flatten(ts, pool)
@@ -542,12 +502,24 @@ class CompletionCache:
             }
 
     def snapshot(self) -> Dict[str, float]:
-        """Stats plus current sizes: read by the REPL's ``:cache``,
+        """The counters, their totals and the current sizes: the one
+        read-only view of the cache, read by the REPL's ``:cache``,
         ``CompletionEngine.cache_stats`` (``repro stats``, the serve
         pool's workspace stats, perfbench's cache layer) and the run-log
-        manifest's cache attribution."""
+        manifest's cache attribution.  Hits and misses sum both lookup
+        kinds; ``hit_rate`` is 0.0 before any lookup."""
         with self._lock:
-            data = self.stats.to_dict()
+            data: Dict[str, float] = {
+                name: self.metrics.counter("cache_" + name)
+                for name in COUNTERS
+            }
+            hits = data["stream_hits"] + data["roots_hits"]
+            misses = data["stream_misses"] + data["roots_misses"]
+            data["hits"] = hits
+            data["misses"] = misses
+            data["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+            data["invalidations"] = (
+                data["invalidations_coarse"] + data["invalidations_fine"])
             data["streams"] = float(len(self._streams))
             data["root_pools"] = float(len(self._roots))
             data["root_pool_groups"] = float(sum(

@@ -347,8 +347,6 @@ class CompletionEngine:
         config: Optional[EngineConfig] = None,
         index: Optional[MethodIndex] = None,
         reachability: Optional[ReachabilityIndex] = None,
-        cache: Optional[CompletionCache] = None,
-        metrics: Optional[Metrics] = None,
     ) -> None:
         self.ts = ts
         self.config = config or EngineConfig()
@@ -358,15 +356,15 @@ class CompletionEngine:
             reachability = ReachabilityIndex(
                 ts, max_depth=self.config.max_chain_depth + 1
             )
-        if cache is None and self.config.enable_cache:
-            cache = CompletionCache()
         self.index = index
         self.reachability = reachability
-        self.cache = cache
         #: engine-wide observability counters and histograms (always on
         #: — per-query cost is a handful of dict increments); metric
         #: names are listed in docs/OBSERVABILITY.md
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
+        #: the cross-query cache, counting into :attr:`metrics`; used
+        #: only while ``config.enable_cache`` is on
+        self.cache = CompletionCache(self.metrics)
         #: structured run log (:mod:`repro.obs.runlog`): when attached,
         #: every finished query appends one ``kind == "query"`` record
         #: (with its span tree when traced) and ``complete_many``
@@ -474,7 +472,7 @@ class CompletionEngine:
     ) -> Optional[CompletionCache]:
         """The cache, iff this query may share streams (see
         :mod:`repro.engine.cache` for why each condition exists)."""
-        if self.cache is None or not self.config.enable_cache:
+        if not self.config.enable_cache:
             return None
         if abstypes is not None or budget is not None:
             return None
@@ -915,7 +913,7 @@ class CompletionEngine:
     def _annotate_cache_attribution(self) -> None:
         """Stamp the run-log manifest with the cache's invalidation
         attribution (coarse vs fine, entries preserved) after a batch."""
-        if self.run_log is None or self.cache is None:
+        if self.run_log is None or not self.config.enable_cache:
             return
         snapshot = self.cache.snapshot()
         self.run_log.annotate(cache={
@@ -929,7 +927,7 @@ class CompletionEngine:
     def cache_stats(self) -> Optional[dict]:
         """Current cross-query cache counters, or ``None`` when the
         cache is disabled."""
-        return self.cache.snapshot() if self.cache is not None else None
+        return self.cache.snapshot() if self.config.enable_cache else None
 
     def rank_of(
         self,

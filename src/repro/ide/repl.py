@@ -245,8 +245,7 @@ def _lint(session: CompletionSession, query, write) -> None:
 def _cache(session: CompletionSession, action, write) -> None:
     workspace = session.workspace
     if action == "clear":
-        if workspace.engine.cache is not None:
-            workspace.engine.cache.clear()
+        workspace.engine.cache.clear()
         write("cache cleared")
         return
     if action in ("on", "off"):
@@ -257,7 +256,7 @@ def _cache(session: CompletionSession, action, write) -> None:
         write("usage: :cache [clear|on|off]")
         return
     stats = workspace.cache_stats()
-    if stats is None or not workspace.engine.config.enable_cache:
+    if stats is None:
         write("cache off")
         return
     write("cross-query cache: {:.0f} streams, {:.0f} root pools".format(

@@ -146,19 +146,13 @@ class Workspace:
         Disabling both stops new lookups *and* clears the current
         entries, so re-enabling starts from a cold, trustworthy cache.
         """
-        return (
-            self.engine.config.enable_cache and self.engine.cache is not None
-        )
+        return self.engine.config.enable_cache
 
     @cache_enabled.setter
     def cache_enabled(self, enabled: bool) -> None:
         self.engine.config = dataclasses.replace(
             self.engine.config, enable_cache=enabled)
-        if enabled and self.engine.cache is None:
-            from ..engine.cache import CompletionCache
-
-            self.engine.cache = CompletionCache()
-        if not enabled and self.engine.cache is not None:
+        if not enabled:
             self.engine.cache.clear()
 
     def metrics(self) -> dict:

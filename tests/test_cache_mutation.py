@@ -8,7 +8,7 @@ clear everything (coarse).  Whichever tier fires, the observable
 contract pinned here holds: a mutation landing between ``warm()`` and a
 batched ``complete_many`` never lets the batch see pre-mutation
 answers — and a single-type member edit must *preserve* the unrelated
-entries, attributed in ``CacheStats``.
+entries, attributed in the engine's ``cache_*`` counters.
 """
 
 import random
@@ -67,16 +67,31 @@ QUERIES = ["img.?f", "img.?m", "?({img})"]
 def test_cache_stats_keys_are_pinned(warm_paint):
     """``Workspace.cache_stats()`` is the ``cache`` object of
     ``/v1/stats`` and ``repro stats --json``: its key set is a wire
-    shape."""
-    workspace, context, _document = warm_paint
+    shape, and its counters are the engine registry's ``cache_*``
+    counters."""
+    workspace, context, document = warm_paint
     workspace.complete_many(_requests(workspace, context, QUERIES))
-    assert set(workspace.cache_stats()) == {
+    document.add_field(Field("zzPinned", workspace.ts.string_type))
+    workspace.complete_many(_requests(workspace, context, QUERIES))
+    stats = workspace.cache_stats()
+    assert set(stats) == {
         "stream_hits", "stream_misses", "roots_hits", "roots_misses",
         "invalidations", "invalidations_coarse", "invalidations_fine",
         "entries_preserved", "entries_dropped", "evictions",
         "hits", "misses", "hit_rate",
         "streams", "root_pools", "root_pool_groups",
     }
+    registry = {
+        name[len("cache_"):]: value
+        for name, value in workspace.metrics()["counters"].items()
+        if name.startswith("cache_")
+    }
+    assert registry == {name: stats[name] for name in registry}
+    assert {"stream_hits", "stream_misses", "invalidations_fine",
+            "entries_preserved"} <= set(registry)
+    assert stats["hits"] == stats["stream_hits"] + stats["roots_hits"]
+    assert stats["invalidations"] == (
+        stats["invalidations_coarse"] + stats["invalidations_fine"])
 
 
 class TestMutationBetweenWarmAndBatch:

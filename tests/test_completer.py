@@ -246,18 +246,11 @@ class TestInjectedState:
         """An index over a universe with no methods has ``len() == 0``;
         the engine must still use it rather than build its own."""
         from repro import MethodIndex, ReachabilityIndex, TypeSystem
-        from repro.engine import CompletionCache
-        from repro.obs import Metrics
 
         ts = TypeSystem()
         index = MethodIndex(ts)
         assert len(index) == 0
         reachability = ReachabilityIndex(ts)
-        cache = CompletionCache()
-        metrics = Metrics()
-        engine = CompletionEngine(ts, index=index, reachability=reachability,
-                                  cache=cache, metrics=metrics)
+        engine = CompletionEngine(ts, index=index, reachability=reachability)
         assert engine.index is index
         assert engine.reachability is reachability
-        assert engine.cache is cache
-        assert engine.metrics is metrics

@@ -42,6 +42,22 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             workspace.resolve_type("Flux.Capacitor")
 
+    def test_disabled_cache_reports_no_stats(self):
+        """``enable_cache`` is the one switch: turned off, the cache has
+        no stats to report (``repro stats``, ``/v1/stats`` and ``:cache``
+        all read this); turned back on, it starts empty."""
+        session = CompletionSession(Workspace.builtin("paint"))
+        session.declare("img", "Document")
+        session.complete("?({img})")
+        workspace = session.workspace
+        assert workspace.cache_stats()["streams"] > 0
+        workspace.cache_enabled = False
+        assert workspace.cache_enabled is False
+        assert workspace.cache_stats() is None
+        workspace.cache_enabled = True
+        stats = workspace.cache_stats()
+        assert (stats["streams"], stats["root_pools"]) == (0, 0)
+
     def test_corpus_workspace_has_oracle(self, tiny_project):
         workspace = Workspace.corpus_project(tiny_project)
         impl = tiny_project.impls[0]

@@ -40,6 +40,7 @@ from repro.engine.cache import CompletionCache
 from repro.engine.completer import CompletionEngine
 from repro.ide.workspace import Workspace
 from repro.lang.parser import parse
+from repro.obs.metrics import Metrics
 
 UNIVERSES = ("paint", "geometry", "bcl", "scaling/90")
 
@@ -311,13 +312,13 @@ class TestPostingsUpkeep:
 
     def test_insert_evict_and_clear(self):
         ts = _pristine("paint")
-        cache = CompletionCache(max_streams=2)
+        cache = CompletionCache(Metrics(), max_streams=2)
         cache.stream(ts, "s1", lambda: iter(()), lambda: self.FP_A)
         cache.stream(ts, "s2", lambda: iter(()), lambda: None)
         assert_postings_consistent(cache)
         cache.stream(ts, "s3", lambda: iter(()), lambda: self.FP_C)
         cache.stream(ts, "s4", lambda: iter(()), lambda: self.FP_A)
-        assert cache.stats.evictions == 2
+        assert cache.snapshot()["evictions"] == 2
         assert "s1" not in cache._stream_fp.footprints
         assert_postings_consistent(cache)
         cache.clear()
@@ -326,7 +327,7 @@ class TestPostingsUpkeep:
 
     def test_reinserted_broken_stream_replaces_its_postings(self):
         ts = _pristine("paint")
-        cache = CompletionCache()
+        cache = CompletionCache(Metrics())
 
         def failing():
             raise RuntimeError("transient")
@@ -342,12 +343,12 @@ class TestPostingsUpkeep:
 
     def test_coarse_clear_empties_the_index(self):
         ts = _pristine("paint")
-        cache = CompletionCache()
+        cache = CompletionCache(Metrics())
         cache.stream(ts, "s", lambda: iter(()), lambda: self.FP_A)
         cache.stream(ts, "u", lambda: iter(()), lambda: None)
         ts.register(TypeDef("Fresh", "Zz"))  # structural: coarse path
         cache.stream(ts, "t", lambda: iter(()), lambda: self.FP_C)
-        assert cache.stats.invalidations_coarse == 1
+        assert cache.snapshot()["invalidations_coarse"] == 1
         assert set(cache._stream_fp.footprints) == {"t"}
         assert_postings_consistent(cache)
 

@@ -266,7 +266,7 @@ class TestReplaySkipsPreflight:
     def test_unsatisfiable_twice_on_cache_on_engine(
             self, paint, paint_context, source, expect, keyword, code):
         engine = CompletionEngine(paint.ts)
-        assert engine.cache is not None
+        assert engine.cache_stats() is not None
         expected = paint.ts.void_type if expect else None
         pe = parse(source, paint_context)
         first, second = (
@@ -292,11 +292,15 @@ class TestReplaySkipsPreflight:
     def test_one_counted_lookup_per_query(self, paint, paint_context):
         engine = CompletionEngine(paint.ts)
         pe = parse("?", paint_context)
-        stats = engine.cache.stats
+
+        def lookups():
+            stats = engine.cache_stats()
+            return stats["stream_hits"], stats["stream_misses"]
+
         engine.complete_query(pe, paint_context)
-        assert (stats.stream_hits, stats.stream_misses) == (0, 1)
+        assert lookups() == (0, 1)
         engine.complete_query(pe, paint_context)
-        assert (stats.stream_hits, stats.stream_misses) == (1, 1)
+        assert lookups() == (1, 1)
 
 
 class TestSessionAnalyze:

@@ -191,6 +191,20 @@ class TestBatteryRoundTrip:
         assert sum(q["steps"] for q in queries) == \
             pytest.approx(steps["count"] * steps["mean"])
 
+    def test_manifest_cache_is_the_cache_view(self, battery_run):
+        """The manifest's cache attribution, stamped after the batch,
+        reads the registry ``cache_stats()`` reads."""
+        workspace, run_log, _ = battery_run
+        manifest = read_run_log(run_log.to_ndjson())[0]
+        stats = workspace.cache_stats()
+        assert set(manifest["cache"]) == {
+            "invalidations", "invalidations_coarse", "invalidations_fine",
+            "entries_preserved", "entries_dropped", "hit_rate",
+        }
+        assert manifest["cache"] == {
+            key: stats[key] for key in manifest["cache"]}
+        assert stats["hit_rate"] > 0
+
     def test_profile_from_log_equals_profile_from_live_traces(
             self, battery_run):
         _, run_log, records = battery_run

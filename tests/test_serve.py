@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.api import complete, complete_many, explain, open_workspace
+from repro.engine import cache
 from repro.eval.battery import battery_for
 from repro.ide.workspace import Workspace
 from repro.obs import parse_exposition, validate_exposition, \
@@ -423,6 +424,25 @@ class TestMetricsEndpoint:
                         locals=battery.locals)
         _, after = client.metrics()
         assert parse_exposition(after)["samples"][key] == start + 1
+
+    def test_cache_counters_are_the_stats_cache_block(self, client, battery):
+        """One source for the wire: a tenant's scraped
+        ``repro_cache_*_total`` samples equal the counters of its
+        ``/v1/stats`` ``cache`` block."""
+        for query in battery.queries[:3] + battery.queries[:1]:
+            client.complete(UNIVERSE, query, locals=battery.locals)
+        _, text = client.metrics()
+        status, stats = client.stats(UNIVERSE)
+        assert status == 200
+        samples = parse_exposition(text)["samples"]
+        labels = (("workspace", UNIVERSE),)
+        scraped = {
+            name: samples.get(("repro_cache_{}_total".format(name), labels), 0)
+            for name in cache.COUNTERS
+        }
+        assert scraped == {name: stats["cache"][name]
+                           for name in cache.COUNTERS}
+        assert scraped["stream_hits"] > 0
 
     def test_post_is_method_not_allowed(self, client):
         status, body = client.request("POST", "/v1/metrics")
