@@ -26,7 +26,6 @@ and picks an exit code; argparse dispatches through ``set_defaults``.
     python -m repro stats --url http://127.0.0.1:8137 --watch 2
     python -m repro slo serve-logs/serve_bcl.ndjson --slo p95_ms=50
     python -m repro profile --universe paint --flame flame.txt
-    python -m repro diff old.ndjson new.ndjson --markdown regression.md
 """
 
 from __future__ import annotations
@@ -436,38 +435,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deterministic self-time profile with flamegraph export",
         description="Trace the universe's pinned query battery and print "
                     "the per-span self-time profile (inclusive/self time "
-                    "and counters per call path), or — with --from-log — "
-                    "profile the traced queries recorded in an NDJSON run "
-                    "log instead of running anything.  --flame writes "
+                    "and counters per call path).  --flame writes "
                     "collapsed-stack text for any flamegraph renderer.  "
                     "See docs/OBSERVABILITY.md.",
     )
     profile.add_argument("--universe", default="paint")
     profile.add_argument("-n", type=int, default=10)
-    profile.add_argument("--from-log", default=None, metavar="RUNLOG",
-                         help="profile a run-log file instead of running "
-                              "the battery")
     profile.add_argument("--flame", default=None, metavar="PATH",
                          help="write collapsed-stack flamegraph text "
                               "('stack;path self-μs' per line)")
     profile.add_argument("--limit", type=int, default=25,
                          help="rows to print (default 25)")
-
-    diff = add(
-        "diff", _run_diff,
-        help="attribute the latency delta between two runs to phases",
-        description="Compare two NDJSON run logs (repro eval / fuzz "
-                    "--run-log, serve --run-log-dir) and attribute the "
-                    "latency delta to engine phases (parse / preflight / "
-                    "cache / root_pool / expand:<kind> / dedup / "
-                    "collect).  Any other document is refused with exit "
-                    "2.  --markdown also writes the comparison as a "
-                    "markdown report.  See docs/OBSERVABILITY.md.",
-    )
-    diff.add_argument("old", metavar="OLD", help="baseline run log")
-    diff.add_argument("new", metavar="NEW", help="candidate run log")
-    diff.add_argument("--markdown", default=None, metavar="PATH",
-                      help="also write a markdown regression report")
 
     evaluate = add(
         "eval", _run_eval,
@@ -975,54 +953,25 @@ def _run_loadtest(args: argparse.Namespace, write) -> int:
 
 
 def _run_profile(args: argparse.Namespace, write) -> int:
-    from .obs import load_run_artifact, profile_run_log
+    from .api import profile as profile_queries
+    from .eval.battery import battery_for
 
-    if args.from_log is not None:
-        try:
-            profile = profile_run_log(load_run_artifact(args.from_log))
-        except (OSError, ValueError) as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
-        write("profile of {} ({} traced queries)".format(
-            args.from_log, profile.traces))
-    else:
-        from .api import profile as profile_queries
-        from .eval.battery import battery_for
-
-        try:
-            battery = battery_for(args.universe)
-            workspace = Workspace.builtin(args.universe)
-            profile = profile_queries(workspace, battery.queries, n=args.n,
-                                      **battery.scope)
-        except ValueError as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
-        write("profile of the {!r} battery ({} queries)".format(
-            workspace.name, len(battery.queries)))
+    try:
+        battery = battery_for(args.universe)
+        workspace = Workspace.builtin(args.universe)
+        profile = profile_queries(workspace, battery.queries, n=args.n,
+                                  **battery.scope)
+    except ValueError as error:
+        write("error: {}".format(error))
+        return EXIT_USAGE
+    write("profile of the {!r} battery ({} queries)".format(
+        workspace.name, len(battery.queries)))
     for line in profile.render(limit=args.limit):
         write(line)
     if args.flame is not None:
         text = "".join(line + "\n" for line in profile.to_collapsed())
         return _write_file(args.flame, text, write,
                            "wrote flamegraph text to {}")
-    return EXIT_OK
-
-
-def _run_diff(args: argparse.Namespace, write) -> int:
-    from .obs import diff_runs, render_markdown
-    from .obs.diff import load_run_artifact, render_text
-
-    try:
-        old = load_run_artifact(args.old)
-        new = load_run_artifact(args.new)
-        diff = diff_runs(old, new)
-    except (OSError, ValueError) as error:
-        write("error: {}".format(error))
-        return EXIT_USAGE
-    for line in render_text(diff):
-        write(line)
-    if args.markdown is not None:
-        return _write_file(args.markdown, render_markdown(diff), write)
     return EXIT_OK
 
 

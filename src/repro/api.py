@@ -9,7 +9,6 @@ re-exported by ``repro`` itself): the task-level functions —
 * :func:`lint` — static diagnostics,
 * :func:`impact` — "what would editing these types invalidate?",
 * :func:`profile` — deterministic self-time profile of traced queries,
-* :func:`diff_runs` — phase-level latency attribution between two runs,
 
 plus the stable types behind them (engine, language, analysis,
 observability).  Deeper modules (``repro.engine``, ``repro.obs``, …)
@@ -136,20 +135,14 @@ from .lang import (
 from .obs import (
     Histogram,
     Metrics,
-    PhaseDelta,
     Profile,
-    RunDiff,
     RunLog,
     ScoreBreakdown,
     Span,
     Tracer,
-    diff_runs,
-    load_run_artifact,
     ndjson_to_dicts,
-    profile_run_log,
     profile_traces,
     read_run_log,
-    render_markdown,
     trace_to_ndjson,
     validate_runlog_text,
     validate_trace_text,
@@ -442,7 +435,14 @@ def slo_report(
     (docs/OBSERVABILITY.md)."""
     from .obs.slo import DEFAULT_SLO_SPEC, SLOObjectives, slo_from_run_log
 
-    records = load_run_artifact(source) if isinstance(source, str) else source
+    if isinstance(source, str):
+        try:
+            with open(source) as handle:
+                records = read_run_log(handle.read())
+        except ValueError as error:
+            raise ValueError("{}: {}".format(source, error)) from None
+    else:
+        records = source
     if slo is None:
         objectives = SLOObjectives.from_spec(DEFAULT_SLO_SPEC)
     elif isinstance(slo, SLOObjectives):
@@ -470,7 +470,6 @@ __all__ = [
     "build_pack",
     "complete",
     "complete_many",
-    "diff_runs",
     "explain",
     "fuzz",
     "impact",
@@ -564,18 +563,13 @@ __all__ = [
     # observability
     "Histogram",
     "Metrics",
-    "PhaseDelta",
     "Profile",
-    "RunDiff",
     "RunLog",
     "ScoreBreakdown",
     "Span",
     "Tracer",
-    "load_run_artifact",
     "ndjson_to_dicts",
-    "profile_run_log",
     "read_run_log",
-    "render_markdown",
     "trace_to_ndjson",
     "validate_runlog_text",
     "validate_trace_text",

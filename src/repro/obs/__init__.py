@@ -18,8 +18,6 @@ Three independent pieces (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.profile` — :class:`Profile`, the deterministic
   self-time profiler aggregating span trees across a run, with
   collapsed-stack flamegraph export.
-* :mod:`repro.obs.diff` — :func:`diff_runs`, phase-level latency
-  attribution between two run logs.
 * :mod:`repro.obs.expo` — Prometheus text exposition (render, parse,
   validate) of :class:`Metrics` registries; what ``GET /v1/metrics``
   and ``repro stats --url`` speak.
@@ -47,15 +45,8 @@ from .slo import (
     render_slo_report,
     slo_from_run_log,
 )
-from .diff import (
-    PhaseDelta,
-    RunDiff,
-    diff_runs,
-    load_run_artifact,
-    render_markdown,
-)
 from .metrics import DEFAULT_BOUNDS, Histogram, Metrics
-from .profile import Profile, profile_run_log, profile_traces
+from .profile import Profile, profile_traces
 from .runlog import (
     RUNLOG_FORMAT,
     RUNLOG_VERSION,
@@ -86,11 +77,9 @@ __all__ = [
     "Histogram",
     "LATENCY_BOUNDS_MS",
     "Metrics",
-    "PhaseDelta",
     "Profile",
     "RUNLOG_FORMAT",
     "RUNLOG_VERSION",
-    "RunDiff",
     "RunLog",
     "SLOObjectives",
     "SLOTracker",
@@ -99,16 +88,12 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Tracer",
-    "diff_runs",
-    "load_run_artifact",
     "load_runlog_schema",
     "load_schema",
     "ndjson_to_dicts",
     "parse_exposition",
-    "profile_run_log",
     "profile_traces",
     "read_run_log",
-    "render_markdown",
     "render_metrics_table",
     "render_prometheus",
     "render_slo_report",

@@ -2,7 +2,7 @@
 
 The :class:`~repro.obs.trace.Tracer` answers *where did this one query
 spend its time*; a :class:`Profile` aggregates many traces — a whole
-battery, eval run, or run log — into per-stack-path totals:
+battery or a session history — into per-stack-path totals:
 
 * **inclusive time** — a synchronous span's wall extent
   (``duration_ms``); a lazy stream span's pull time (``busy_ms``): its
@@ -24,10 +24,8 @@ battery, eval run, or run log — into per-stack-path totals:
 Aggregation is keyed by the *stack path* (root name down to the span's
 name, e.g. ``query;expand:hole``), so the same phase reached through
 different parents stays distinct.  Everything is computed from the
-plain span dicts the tracer exports — profiling a live tracer, a
-``QueryOutcome.trace``, a run-log query record, or a saved NDJSON file
-all go through the same arithmetic, which is what lets the round-trip
-tests demand identical totals from every surface.
+plain span dicts the tracer exports (``QueryOutcome.trace``,
+``QueryRecord.trace``).
 
 Export formats:
 
@@ -36,8 +34,7 @@ Export formats:
 * :meth:`Profile.to_collapsed` — collapsed-stack lines
   (``query;expand:hole 1234``, value = self time in microseconds),
   the input format of Brendan Gregg's ``flamegraph.pl`` and every
-  compatible viewer;
-* :meth:`Profile.to_dict` — JSON-ready.
+  compatible viewer.
 """
 
 from __future__ import annotations
@@ -118,27 +115,6 @@ class Profile:
                 rollup[name] = rollup.get(name, 0) + value
         return self
 
-    def add_run_log(self, records: Iterable[dict]) -> "Profile":
-        """Fold in every traced query record of a run log."""
-        for record in records:
-            if record.get("kind") == "query" and record.get("spans"):
-                self.add_trace(record["spans"])
-        return self
-
-    def merge(self, other: "Profile") -> "Profile":
-        for path, node in other._nodes.items():
-            mine = self._nodes.setdefault(path, {
-                "calls": 0, "inclusive_ms": 0.0, "self_ms": 0.0,
-                "counters": {},
-            })
-            mine["calls"] += node["calls"]
-            mine["inclusive_ms"] += node["inclusive_ms"]
-            mine["self_ms"] += node["self_ms"]
-            for name, value in node["counters"].items():
-                mine["counters"][name] = mine["counters"].get(name, 0) + value
-        self.traces += other.traces
-        return self
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -147,23 +123,6 @@ class Profile:
         """Total inclusive time of the root spans (depth-1 paths)."""
         return sum(node["inclusive_ms"]
                    for path, node in self._nodes.items() if len(path) == 1)
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Inclusive time per pipeline phase, the taxonomy the diff
-        engine attributes regressions to: the direct children of the
-        ``query`` root (``preflight`` / ``cache`` / ``root_pool`` /
-        ``expand:<kind>`` / ``dedup`` / ``collect``) plus non-``query``
-        roots (the session's ``parse``)."""
-        totals: Dict[str, float] = {}
-        for path, node in self._nodes.items():
-            if len(path) == 1 and path[0] != "query":
-                name = path[0]
-            elif len(path) == 2 and path[0] == "query":
-                name = path[1]
-            else:
-                continue
-            totals[name] = totals.get(name, 0.0) + node["inclusive_ms"]
-        return {name: round(totals[name], 4) for name in sorted(totals)}
 
     def rows(self) -> List[Dict[str, Any]]:
         """One dict per stack path, sorted by self time (descending),
@@ -211,19 +170,6 @@ class Profile:
                 row["inclusive_ms"], row["self_ms"]))
         return lines
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "traces": self.traces,
-            "total_ms": round(self.total_ms, 4),
-            "phases": self.phase_totals(),
-            "nodes": {row["path"]: {
-                "calls": row["calls"],
-                "inclusive_ms": row["inclusive_ms"],
-                "self_ms": row["self_ms"],
-                "counters": row["counters"],
-            } for row in self.rows()},
-        }
-
 
 def profile_traces(traces: Iterable[Iterable[dict]]) -> Profile:
     """A :class:`Profile` over many exported span trees (e.g. the
@@ -233,8 +179,3 @@ def profile_traces(traces: Iterable[Iterable[dict]]) -> Profile:
         if spans:
             profile.add_trace(spans)
     return profile
-
-
-def profile_run_log(records: Iterable[dict]) -> Profile:
-    """A :class:`Profile` over the traced query records of a run log."""
-    return Profile().add_run_log(records)

@@ -48,16 +48,6 @@ DEADLINE_EXCEEDED = "deadline_exceeded"
 #: unexpected server-side failure
 INTERNAL = "internal_error"
 
-#: the canonical code -> (http_status, exit_code) table, owned by
-#: :mod:`repro.errors` (this name is the protocol's historical alias
-#: for it — same dict object, kept importable)
-ERROR_CODES: Dict[str, tuple] = ERROR_TABLE
-
-#: QueryStatus truncation reason -> exit-style code (a truncated query
-#: still answers 200 with best-so-far results, like the CLI prints them)
-_TRUNCATION_EXIT = TRUNCATION_EXIT
-
-
 #: clients may supply their own correlation id; cap it so a run-log
 #: record can't be ballooned by a hostile body
 MAX_REQUEST_ID_LEN = 128
@@ -70,15 +60,11 @@ def new_request_id() -> str:
 
 def error_body(code: str, message: str) -> Dict[str, Any]:
     """The structured error payload for a stable ``code``."""
-    status, exit_code = ERROR_CODES[code]
+    status, exit_code = ERROR_TABLE[code]
     return {
         "error": {"code": code, "message": message, "exit_code": exit_code},
         "status": status,
     }
-
-
-def http_status(code: str) -> int:
-    return ERROR_CODES[code][0]
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +95,9 @@ def record_to_dict(record: Any, include_timing: bool = True) -> Dict[str, Any]:
         "steps": record.steps,
         "degraded": sorted(record.degraded),
         "truncated": record.truncated,
-        "exit_code": _TRUNCATION_EXIT.get(record.truncated, 0),
+        # a truncated query still answers 200 with best-so-far results,
+        # like the CLI prints them, and carries the CLI's exit code
+        "exit_code": TRUNCATION_EXIT.get(record.truncated, 0),
     }
     if record.error is not None:
         body["parse_error"] = record.error

@@ -54,6 +54,7 @@ from typing import (
 )
 from urllib.parse import parse_qs, urlsplit
 
+from ..errors import http_status_for
 from ..obs.expo import (
     EXPOSITION_CONTENT_TYPE,
     LATENCY_BOUNDS_MS,
@@ -456,7 +457,7 @@ class CompletionServer:
                 code = ("parse_error" if results[0].get("parse_error")
                         else "ok")
                 if endpoint == "complete" and code == "parse_error":
-                    status = protocol.http_status(protocol.PARSE_ERROR)
+                    status = http_status_for(protocol.PARSE_ERROR)
                 query_count = len(records)
                 completion_count = sum(len(r.suggestions) for r in records)
                 degraded = sorted(

@@ -13,9 +13,8 @@ Four guarantees pinned here:
   different universe than recorded (or than the caller pinned with
   ``expect_fingerprint``) fails with ``pack_stale``;
 * **One error table** — ``pack_corrupt`` / ``pack_stale`` live in the
-  canonical table of :mod:`repro.errors`, the same object the serving
-  protocol exposes as ``ERROR_CODES``, and the CLI exits with the
-  table's exit code;
+  canonical table of :mod:`repro.errors`, which the serving protocol
+  reads, and the CLI exits with the table's exit code;
 * **Unified constructor** — :func:`repro.api.open_workspace` opens
   builtin keys, universe documents, project documents, and packs
   through one signature, and the old scattered constructors warn.
@@ -339,12 +338,10 @@ class TestErrorTable:
         assert http_status_for("pack_stale") == 409
         assert exit_code_for("pack_corrupt") == 2
 
-    def test_protocol_alias_is_the_canonical_table(self):
+    def test_serve_codes_resolve_through_the_canonical_table(self):
         from repro.serve import protocol
 
-        assert protocol.ERROR_CODES is ERROR_TABLE
-        # serve error codes still resolve through the shared table
-        assert protocol.http_status(protocol.SHED) == 429
+        assert http_status_for(protocol.SHED) == 429
         assert protocol.error_body("pack_stale", "x")["status"] == 409
 
     def test_pack_errors_carry_stable_codes(self):

@@ -86,36 +86,10 @@ class TestAggregation:
         assert dedup["counters"] == {"items": 15}
         assert profile.total_ms == pytest.approx(12.0)
 
-    def test_merge_equals_incremental_aggregation(self):
-        trace_a = [span(1, None, "query", 0.0, 4.0),
-                   span(2, 1, "collect", 0.0, 1.0, {"items": 2})]
-        trace_b = [span(1, None, "parse", 0.0, 0.5),
-                   span(2, None, "query", 0.5, 2.5)]
-        merged = profile_traces([trace_a]).merge(profile_traces([trace_b]))
-        direct = profile_traces([trace_a, trace_b])
-        assert merged.traces == direct.traces == 2
-        assert merged.to_dict() == direct.to_dict()
-
     def test_empty_trace_is_ignored(self):
         profile = Profile().add_trace([])
         assert profile.traces == 0
         assert profile.rows() == []
-
-
-class TestPhaseTotals:
-    def test_query_children_and_sibling_roots(self):
-        profile = Profile().add_trace([
-            span(1, None, "parse", 0.0, 0.5),
-            span(2, None, "query", 0.5, 8.5),
-            span(3, 2, "expand:hole", 1.0, 4.0),
-            span(4, 2, "dedup", 4.0, 6.0),
-            span(5, 3, "root_pool", 1.0, 2.0),  # depth 3: not a phase
-        ])
-        assert profile.phase_totals() == {
-            "parse": 0.5,
-            "expand:hole": 3.0,
-            "dedup": 2.0,
-        }
 
 
 class TestExports:

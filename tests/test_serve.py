@@ -6,8 +6,8 @@ Three guarantees pinned here:
   byte-identical (as sorted JSON) to the same query answered by the
   in-process :func:`repro.api.complete` facade on a fresh workspace;
 * **Error shapes** — every failure is a structured body with a stable
-  ``code`` and the exit-style mapping of :data:`repro.serve.protocol
-  .ERROR_CODES` (unknown workspace, malformed bodies, parse errors,
+  ``code`` and the exit-style mapping of :data:`repro.errors
+  .ERROR_TABLE` (unknown workspace, malformed bodies, parse errors,
   sheds, deadline expiry);
 * **Lifecycle** — startup warms the pool before the port opens, and a
   graceful shutdown drains in-flight requests instead of dropping them.
@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import complete, complete_many, explain, open_workspace
 from repro.engine import cache
+from repro.errors import ERROR_TABLE, http_status_for
 from repro.eval.battery import battery_for
 from repro.ide.workspace import Workspace
 from repro.obs import parse_exposition, validate_exposition, \
@@ -152,7 +153,7 @@ class TestGoldenRoundTrips:
 
 class TestErrorShapes:
     def _assert_error(self, status, body, code):
-        want_status, want_exit = protocol.ERROR_CODES[code]
+        want_status, want_exit = ERROR_TABLE[code]
         assert status == want_status, body
         assert body["error"]["code"] == code
         assert body["error"]["exit_code"] == want_exit
@@ -198,7 +199,7 @@ class TestErrorShapes:
 
     def test_parse_error_maps_to_422(self, client):
         status, body = client.complete(UNIVERSE, "((")
-        assert status == protocol.http_status(protocol.PARSE_ERROR)
+        assert status == http_status_for(protocol.PARSE_ERROR)
         assert body["parse_error"]
         assert body["exit_code"] == 1
         assert body["suggestions"] == []

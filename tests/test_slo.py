@@ -283,6 +283,25 @@ class TestCli:
         code, output = self._run(["slo", path, "--windows", "-5"])
         assert code == 2
 
+    @pytest.mark.parametrize("document", ["loadtest", "garbage"])
+    def test_non_run_log_is_refused_naming_the_path(self, tmp_path,
+                                                     document):
+        if document == "loadtest":
+            from repro.serve.loadgen import FORMAT, VERSION, save
+
+            path = str(tmp_path / "BENCH_serve_x.json")
+            save(path, {"format": FORMAT, "version": VERSION,
+                        "label": "serve_x", "workloads": [
+                            {"name": "serve/bcl", "p50_ms": 1.0,
+                             "p95_ms": 2.0, "steps": 3}]})
+        else:
+            path = str(tmp_path / "garbage.ndjson")
+            with open(path, "wb") as handle:
+                handle.write(b"\x00\xffnot json at all\n")
+        code, output = self._run(["slo", path])
+        assert code == 2
+        assert output.startswith("error: {}: ".format(path)), output
+
     def test_log_without_server_requests_is_usage_error(self, tmp_path):
         log = RunLog("unit", universes={"bcl": 1})
         path = tmp_path / "engine.ndjson"
