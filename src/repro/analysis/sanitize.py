@@ -10,9 +10,11 @@ guarantee is void, so it is an error-severity finding.
 
 The probes cover each stream shape the engine builds: a bare ``?`` hole
 (``best_first`` chains), a ``.?*m`` suffix, an unknown call
-(``ordered_product`` + ``merge_nested``), a known call (``merge``), and an
-assignment (``reorder_with_slack``) — each run twice, once unbounded-ish
-and once under a tight step budget to exercise truncation paths.
+(``ordered_product`` + ``merge_nested``), a known call (``merge`` over
+``merge_nested`` with the call floor), and an assignment and a comparison
+(``reorder_with_slack`` with the pair floor) — each run twice, once
+unbounded-ish and once under a tight step budget to exercise truncation
+paths.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from ..codemodel.types import TypeDef
 from ..codemodel.typesystem import TypeSystem
 from ..errors import StreamInvariantViolation
 from ..lang.ast import Var
-from ..lang.partial import Hole, PartialAssign, SuffixHole, UnknownCall
+from ..lang.partial import (
+    Hole,
+    PartialAssign,
+    PartialCompare,
+    SuffixHole,
+    UnknownCall,
+)
 from .diagnostics import Diagnostic, diag
 from .scope import Context
 
@@ -96,6 +104,9 @@ def _build_probes(context: Context):
         ))
         probes.append((
             "? := ?", PartialAssign(Hole(), Hole())
+        ))
+        probes.append((
+            "? == ?", PartialCompare(Hole(), Hole(), "==")
         ))
     if len(local_vars) >= 2:
         probes.append((

@@ -370,6 +370,9 @@ class CompletionEngine:
         #: (with its span tree when traced) and ``complete_many``
         #: records batch events; None = off, zero cost
         self.run_log: Optional[RunLog] = None
+        #: ``(pe, context, signature)`` of the last memoised parse, for
+        #: the query that follows it (see :meth:`parse`)
+        self._parsed: Optional[Tuple[Expr, Context, tuple]] = None
 
     # ------------------------------------------------------------------
     # dependency analysis plumbing
@@ -483,14 +486,14 @@ class CompletionEngine:
     def _query_key(
         self,
         pe: Expr,
-        context: Context,
+        signature: tuple,
         expected_type: Optional[TypeDef],
         keyword: Optional[str],
     ) -> tuple:
         return (
             "query",
             pe.key(),
-            context_signature(context),
+            signature,
             expected_type.full_name if expected_type is not None else None,
             keyword,
             self._config_signature(),
@@ -510,11 +513,18 @@ class CompletionEngine:
         ``(cache, key, replay)``.  ``cache`` and ``key`` are ``None``
         when the query may not share streams; ``replay`` is the cached
         stream on a hit, else ``None``.  A traced probe records a
-        ``cache`` span (``hit`` 0/1)."""
+        ``cache`` span (``hit`` 0/1).  It takes the context signature
+        of the parse just before it, if that parse returned ``pe`` in
+        ``context``."""
+        parsed, self._parsed = self._parsed, None
         cache = self._stream_cache(abstypes, budget)
         if cache is None:
             return None, None, None
-        key = self._query_key(pe, context, expected_type, keyword)
+        if parsed is not None and parsed[0] is pe and parsed[1] is context:
+            signature = parsed[2]
+        else:
+            signature = context_signature(context)
+        key = self._query_key(pe, signature, expected_type, keyword)
         if tracer is None:
             return cache, key, cache.peek(self.ts, key)
         with tracer.span("cache") as span:
@@ -543,8 +553,9 @@ class CompletionEngine:
         cache, key, replay = probe
         if replay is not None:
             return iter(replay), None, True
+        signature = None if key is None else key[2]  # see _query_key
         query = _Query(self, context, abstypes, expected_type, keyword,
-                       budget, tracer)
+                       budget, tracer, signature)
         stream = query.result_stream(pe)
         if cache is None:
             return stream, query, False
@@ -567,14 +578,21 @@ class CompletionEngine:
         cache off or a fault plan armed, runs
         :func:`repro.lang.parser.parse`; a ``ParseError`` propagates and
         is not memoised.  A traced caller passes its ``parse`` span,
-        which gets ``cached`` 0/1."""
+        which gets ``cached`` 0/1.
+
+        The next query of the returned expression in the same
+        ``context`` keys the cache with this signature instead of
+        computing it again, so change a context before parsing in it,
+        not between the parse and its query."""
         cache = self._stream_cache(None, None)
         if cache is None:
             pe, hit = parser.parse(source, context), False
         else:
+            signature = context_signature(context)
             pe, hit = cache.parse(
-                self.ts, (source, context_signature(context)),
+                self.ts, (source, signature),
                 lambda reads: parser.parse(source, context, reads))
+            self._parsed = (pe, context, signature)
         if span is not None:
             span.set("cached", 1 if hit else 0)
         return pe
@@ -812,10 +830,9 @@ class CompletionEngine:
             ("steps_per_query", outcome.steps, DEFAULT_BOUNDS),
             ("elapsed_ms_per_query", outcome.elapsed_ms, _LATENCY_BOUNDS),
         ]
-        for completion in outcome.completions:
-            observations.append(
-                ("completion_depth", completion.depth, _DEPTH_BOUNDS))
-        self.metrics.record(counters, observations)
+        depths = [completion.depth for completion in outcome.completions]
+        self.metrics.record(counters, observations,
+                            [("completion_depth", depths, _DEPTH_BOUNDS)])
 
     def explain(
         self,
@@ -1053,6 +1070,7 @@ class _Query:
         keyword: Optional[str] = None,
         budget: Optional[QueryBudget] = None,
         tracer: Optional[Tracer] = None,
+        signature: Optional[tuple] = None,
     ) -> None:
         self.engine = engine
         self.config = engine.config
@@ -1075,7 +1093,9 @@ class _Query:
         self.stream_hits = 0
         self.stream_misses = 0
         if self.cache is not None:
-            self._ctx_sig = context_signature(context)
+            #: the query key's context signature, when the caller has it
+            self._ctx_sig = (signature if signature is not None
+                             else context_signature(context))
             self._cfg_sig = engine._config_signature()
 
     def result_stream(self, pe: Expr) -> Iterator[Completion]:
@@ -1482,7 +1502,8 @@ class _Query:
                 return []
             return [(base + extra, Call(method, values))]
 
-        return merge_nested(tuples, expand, self.meter)
+        return merge_nested(tuples, expand, self.meter,
+                            self.ranker.call_floor(method))
 
     # ------------------------------------------------------------------
     # binary expressions
@@ -1522,7 +1543,8 @@ class _Query:
                     continue
                 yield base, base + extra, Assign(lhs, rhs)
 
-        return reorder_with_slack(pairs(), slack, self.meter)
+        return reorder_with_slack(pairs(), slack, self.meter,
+                                  self.ranker.pair_floor())
 
     def _compare_stream(self, pe: PartialCompare) -> Iterator[Scored]:
         left = self._side_stream(pe.lhs)
@@ -1544,7 +1566,8 @@ class _Query:
                     continue
                 yield base, base + extra, Compare(lhs, rhs, pe.op)
 
-        return reorder_with_slack(pairs(), slack, self.meter)
+        return reorder_with_slack(pairs(), slack, self.meter,
+                                  self.ranker.pair_floor())
 
 
 def _is_lvalue(expr: Expr) -> bool:

@@ -297,6 +297,13 @@ class Ranker:
         placement only reorders them).  A zero-argument call is a lookup
         (instance) or a global chain root (static): one dot and nothing
         else."""
+        cost = self._receiver_scope_cost(method)
+        if method.params and self.config.namespaces:
+            cost += self._guarded_namespace_cost(method, arg_types)
+        return cost
+
+    def _receiver_scope_cost(self, method: Method) -> int:
+        """:meth:`call_fixed_cost` without the namespace term."""
         if not method.params:
             return DOT_COST if self.config.depth else 0
         cost = 0
@@ -305,9 +312,31 @@ class Ranker:
         if self.config.in_scope_static:
             if not method.is_static or not self.context.is_in_scope_static(method):
                 cost += 1
-        if self.config.namespaces:
-            cost += self._guarded_namespace_cost(method, arg_types)
         return cost
+
+    def _knows_nothing(self) -> bool:
+        """Is the abstract-type term a mismatch whatever the arguments?
+        True under the base oracle, whose every answer is undefined; a
+        subclass may know something, even one that overrides nothing."""
+        return (self.config.abstract_types
+                and type(self.abstypes) is AbstractTypeOracle)
+
+    def call_floor(self, method: Method) -> int:
+        """The least :meth:`call_cost` adds to its arguments' scores,
+        whatever the arguments: the receiver dot, the in-scope-static
+        term and, when the oracle knows nothing, one abstract-type
+        mismatch per slot.  Type distances and the namespace term count
+        0.  The ``merge_nested`` floor of a known call."""
+        floor = self._receiver_scope_cost(method)
+        if method.params and self._knows_nothing():
+            floor += len(method.all_params())
+        return floor
+
+    def pair_floor(self) -> int:
+        """The least :meth:`assign_pair_cost` or :meth:`compare_pair_cost`
+        adds: the abstract-type mismatch when the oracle knows nothing,
+        else 0.  The ``reorder_with_slack`` floor of a pair."""
+        return 1 if self._knows_nothing() else 0
 
     def _guarded_namespace_cost(
         self, method: Method, arg_types: "Sequence[Optional[TypeDef]]"

@@ -15,11 +15,12 @@ combinator preserves that invariant:
   loop of Algorithm 1), each index vector pushed once, by its parent, and
   stream ``j``'s item ``i + 1`` first pulled when ``i * e_j`` is popped;
 * :func:`merge_nested` — a sorted outer stream where each item expands to a
-  finite batch of results costing at least the item's own score (the "all
-  type-correct completions of e using concreteSubs" loop);
-* :func:`reorder_with_slack` — restores exact order when a bounded extra
-  cost is added to an almost-sorted stream (used for comparison/assignment
-  pair terms);
+  finite batch of results costing at least the item's own score plus a
+  caller-given floor (the "all type-correct completions of e using
+  concreteSubs" loop);
+* :func:`reorder_with_slack` — restores exact order when an extra cost
+  between a floor and a slack is added to an almost-sorted stream (used
+  for comparison/assignment pair terms);
 * :func:`best_first` — Dijkstra-style closure for the ``.?*`` suffixes.
 
 Ties are broken by arrival order (a monotone sequence number), which makes
@@ -305,24 +306,32 @@ def merge_nested(
     outer: Iterable[Scored],
     expand: Callable[[int, T], Iterable[Tuple[int, U]]],
     budget: Optional[QueryBudget] = None,
+    floor: int = 0,
 ) -> Iterator[Tuple[int, U]]:
     """Expand each outer item into results and yield all results globally
     sorted.
 
     Requires: ``outer`` is sorted, and every result of ``expand(score, v)``
-    costs at least ``score`` (costs only grow — true of every ranking term,
-    all of which are non-negative).
+    costs at least ``score + floor`` (costs only grow — true of every
+    ranking term, all of which are non-negative).  ``floor`` is the
+    least any result adds to its item's score: a result is yielded as
+    soon as it costs no more than the next item's score plus ``floor``,
+    since nothing not yet expanded can come before it.  The output is
+    the same for every valid floor; a higher one pulls fewer outer
+    items (so a budget truncates it later), and one that is too high
+    fails the assertion.
     """
     heap: List[Tuple[int, int, U]] = []
     seq = count()
     for base, value in outer:
         if budget is not None and not budget.tick():
             return
-        while heap and heap[0][0] <= base:
+        least = base + floor
+        while heap and heap[0][0] <= least:
             score, _, result = heapq.heappop(heap)
             yield score, result
         for score, result in expand(base, value):
-            assert score >= base, "expand produced a result cheaper than its base"
+            assert score >= least, "expand produced a result below its floor"
             heapq.heappush(heap, (score, next(seq), result))
     while heap:
         if budget is not None and not budget.tick():
@@ -336,20 +345,24 @@ def reorder_with_slack(
     stream: Iterable[Tuple[int, int, T]],
     slack: int,
     budget: Optional[QueryBudget] = None,
+    floor: int = 0,
 ) -> ScoredIter:
     """Restore exact order for an almost-sorted stream.
 
     ``stream`` yields ``(base, final, value)`` where the *bases* are
-    non-decreasing and ``base <= final <= base + slack``.  Emits
-    ``(final, value)`` in non-decreasing ``final`` order.
+    non-decreasing and ``base + floor <= final <= base + slack``.  Emits
+    ``(final, value)`` in non-decreasing ``final`` order, each as soon
+    as it costs no more than the next base plus ``floor`` (the same
+    output for every valid floor, after fewer pulls for a higher one).
     """
     heap: List[Tuple[int, int, T]] = []
     seq = count()
     for base, final, value in stream:
         if budget is not None and not budget.tick():
             return
-        assert base <= final <= base + slack, "slack contract violated"
-        while heap and heap[0][0] <= base:
+        least = base + floor
+        assert least <= final <= base + slack, "slack contract violated"
+        while heap and heap[0][0] <= least:
             score, _, item = heapq.heappop(heap)
             yield score, item
         heapq.heappush(heap, (final, next(seq), value))

@@ -55,6 +55,24 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``values`` in turn, with one update of
+        the summary fields."""
+        if not values:
+            return
+        bounds, buckets = self.bounds, self.buckets
+        total = self.total
+        for value in values:
+            buckets[bisect.bisect_left(bounds, value)] += 1
+            total += value
+        self.count += len(values)
+        self.total = total
+        low, high = min(values), max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -97,10 +115,7 @@ class Metrics:
         bounds: Sequence[float] = DEFAULT_BOUNDS,
     ) -> None:
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(bounds)
-            histogram.observe(value)
+            self._histogram(name, bounds).observe(value)
 
     def record(
         self,
@@ -108,9 +123,14 @@ class Metrics:
         observations: Optional[
             Sequence[Tuple[str, float, Sequence[float]]]
         ] = None,
+        series: Optional[
+            Sequence[Tuple[str, Sequence[float], Sequence[float]]]
+        ] = None,
     ) -> None:
-        """Apply a batch of increments and ``(name, value, bounds)``
-        observations under one lock acquisition — the per-query fast
+        """Apply a batch of increments, ``(name, value, bounds)``
+        observations and ``(name, values, bounds)`` series (each the
+        observations of its values in order; an empty one creates no
+        histogram) under one lock acquisition — the per-query fast
         path."""
         with self._lock:
             if counters:
@@ -118,10 +138,19 @@ class Metrics:
                     self._counters[name] = self._counters.get(name, 0) + value
             if observations:
                 for name, value, bounds in observations:
-                    histogram = self._histograms.get(name)
-                    if histogram is None:
-                        histogram = self._histograms[name] = Histogram(bounds)
-                    histogram.observe(value)
+                    self._histogram(name, bounds).observe(value)
+            if series:
+                for name, values, bounds in series:
+                    if values:
+                        self._histogram(name, bounds).observe_many(values)
+
+    def _histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
+        """The histogram ``name``, created with ``bounds`` on first use
+        (call with the lock held)."""
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(bounds)
+        return histogram
 
     def counter(self, name: str) -> int:
         """Current value of a counter (0 when never incremented)."""

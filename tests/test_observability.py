@@ -16,6 +16,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import (
     CompletionEngine,
@@ -393,6 +394,50 @@ class TestMetrics:
         singles.observe("h", 3.0, bounds=(1, 10))
         singles.observe("h", 30.0, bounds=(1, 10))
         assert batched.to_dict() == singles.to_dict()
+
+    @given(st.lists(st.integers(-2, 12), max_size=4),
+           st.lists(st.one_of(st.integers(-2, 12),
+                              st.floats(-2, 12, allow_nan=False)),
+                    max_size=12))
+    def test_series_equals_per_value_observations(self, earlier, values):
+        from repro.obs.expo import render_prometheus
+
+        bounds = (0, 1, 2, 4, 8)
+        batched, singles = Metrics(), Metrics()
+        for value in earlier:
+            batched.observe("h", value, bounds)
+            singles.observe("h", value, bounds)
+        batched.record(series=[("h", values, bounds)])
+        for value in values:
+            singles.observe("h", value, bounds)
+        assert batched.to_dict() == singles.to_dict()
+        assert (render_prometheus([({"workspace": "w"}, batched.to_dict())])
+                == render_prometheus([({"workspace": "w"},
+                                       singles.to_dict())]))
+
+    def test_completion_depths_are_one_series(self):
+        ts, context = _universe("paint")
+        engine = CompletionEngine(ts)
+        recorded = []
+        real_record = engine.metrics.record
+
+        def record(*args, **kwargs):
+            recorded.append((args, kwargs))
+            return real_record(*args, **kwargs)
+
+        engine.metrics.record = record
+        outcome = engine.complete_query(parse("img.?*m", context), context)
+        [(args, _kwargs)] = recorded
+        assert ("completion_depth" not in
+                [name for name, _value, _bounds in args[1]])
+        from repro.engine.completer import _DEPTH_BOUNDS
+
+        singles = Metrics()
+        for completion in outcome.completions:
+            singles.observe("completion_depth", completion.depth,
+                            _DEPTH_BOUNDS)
+        assert (engine.metrics.histogram("completion_depth").to_dict()
+                == singles.histogram("completion_depth").to_dict())
 
     def test_engine_counts_queries(self):
         ts, context = _universe("bcl")

@@ -256,6 +256,60 @@ class TestMemoScope:
         assert engine.parse("img.?m", context) is not first
 
 
+class TestSignatureOnce:
+    """A query parsed through the memo keys the cache with the parse's
+    context signature: one computation per session query."""
+
+    @pytest.fixture
+    def signed(self, monkeypatch):
+        import repro.engine.completer as completer
+
+        calls = []
+        original = completer.context_signature
+
+        def counting(context):
+            calls.append(context)
+            return original(context)
+
+        monkeypatch.setattr(completer, "context_signature", counting)
+        return calls
+
+    def test_one_signature_per_session_query(self, signed):
+        session = TestMemoScope()._paint()
+        for source in ("img.?m", "img.?m", "?({img})"):
+            signed.clear()
+            session.complete(source)
+            assert len(signed) == 1, source
+        assert session.history[1].cached
+
+    def test_a_context_changed_between_queries_is_signed_again(self):
+        ts = _pristine("paint")
+        document = ts.get("PaintDotNet.Document")
+        size = ts.get("System.Drawing.Size")
+        engine = CompletionEngine(ts)
+        context = Workspace(ts).context(locals={"img": document})
+        hole = engine.parse("?", context)
+        engine.complete_query(hole, context)
+        # a second query of a parsed expression has no parse before it
+        context.locals["size"] = size
+        changed = engine.complete_query(hole, context)
+        # and the parse before a query need not be the query's own
+        engine.parse("img.?m", context)
+        context.locals["img"] = size
+        moved = engine.complete_query(parse("?", context), context)
+
+        for outcome, scope in ((changed, {"img": document, "size": size}),
+                               (moved, {"img": size, "size": size})):
+            fresh = Workspace(ts).context(locals=scope)
+            expected = CompletionEngine(ts).complete_query(
+                parse("?", fresh), fresh)
+            assert not outcome.cached
+            assert ([(c.expr.key(), c.expr.type.full_name)
+                     for c in outcome.completions]
+                    == [(c.expr.key(), c.expr.type.full_name)
+                        for c in expected.completions])
+
+
 class TestRenderOnce:
     def test_replay_hands_out_the_rendered_completions(self):
         workspace = Workspace.builtin("paint")

@@ -386,7 +386,8 @@ class TestDegradation:
 class TestChainSuccessorTable:
     """A ``?`` argument with a known target type expands its chains from a
     per-stream successor table; budgets and faults see the same work as
-    re-checking every expansion (figures recorded before the table)."""
+    re-checking every expansion (figures recorded before the table; the
+    step counts are the floored known call's)."""
 
     TOP = [
         (10, "now.AddDays(System.Math.PI)"),
@@ -420,8 +421,11 @@ class TestChainSuccessorTable:
     @pytest.mark.parametrize("max_steps, status, steps, top", [
         (10, QueryStatus.BUDGET, 11, 0),
         (100, QueryStatus.BUDGET, 101, 0),
-        (1000, QueryStatus.BUDGET, 1001, 3),
-        (10000, QueryStatus.OK, 1224, 10),
+        (300, QueryStatus.BUDGET, 301, 3),
+        # the call floor ends the known call before it pulls argument
+        # tuples no answer needs: 1000 steps cover all of it
+        (1000, QueryStatus.OK, 710, 10),
+        (10000, QueryStatus.OK, 710, 10),
     ])
     def test_step_budgets_truncate_where_they_did(
         self, core_ts, query, max_steps, status, steps, top

@@ -172,3 +172,17 @@ class TestEngineUnderSanitizer:
 
         assert run_sanitizer_probes(paint_engine) == []
         assert run_sanitizer_probes(geometry_engine) == []
+
+    def test_probes_cover_every_floor_caller(self, paint_engine):
+        # merge_nested gets the call floor from known calls, and
+        # reorder_with_slack the pair floor from both pair kinds
+        from repro.analysis.sanitize import _build_probes, _probe_context
+        from repro.lang.partial import (
+            KnownCall,
+            PartialAssign,
+            PartialCompare,
+        )
+
+        probes = _build_probes(_probe_context(paint_engine.ts))
+        kinds = {type(pe) for _label, pe in probes}
+        assert {KnownCall, PartialAssign, PartialCompare} <= kinds

@@ -263,6 +263,127 @@ class TestMergeNested:
         assert len(result) == len(outer) * len(offsets)
 
 
+#: a sorted outer stream, each item with its expansion's offsets above
+#: a floor, and that floor
+floored_batches = st.integers(0, 4).flatmap(lambda floor: st.tuples(
+    st.just(floor),
+    st.lists(
+        st.tuples(st.integers(0, 30),
+                  st.lists(st.integers(floor, floor + 6), max_size=3)),
+        max_size=12,
+    ).map(sorted),
+))
+
+
+def counted(items, pulls):
+    """Yield ``items``, appending to ``pulls`` once per item pulled."""
+    for item in items:
+        pulls.append(item)
+        yield item
+
+
+def pulls_per_prefix(make):
+    """For each ``k``, the outer items pulled to yield ``k`` results of
+    the stream ``make(outer_wrapper)`` builds."""
+    pulls = []
+    stream = make(lambda items: counted(items, pulls))
+    counts = [0]
+    for _ in stream:
+        counts.append(len(pulls))
+    return counts
+
+
+class TestNestedFloor:
+    """A floor only moves results out earlier: the yielded sequence is
+    the floor-0 sequence, after no more outer pulls, and a floor above
+    the least offset fails its assertion."""
+
+    @staticmethod
+    def nested(batches, floor, wrap=iter, budget=None):
+        offsets = {index: batch for index, (_, batch) in enumerate(batches)}
+
+        def expand(base, index):
+            return [(base + off, (index, j))
+                    for j, off in enumerate(offsets[index])]
+
+        outer = [(base, index) for index, (base, _) in enumerate(batches)]
+        return merge_nested(wrap(outer), expand, budget, floor)
+
+    @given(floored_batches)
+    def test_merge_nested_floor_changes_nothing_but_pulls(self, drawn):
+        floor, batches = drawn
+        assert (list(self.nested(batches, floor))
+                == list(self.nested(batches, 0)))
+        floored = pulls_per_prefix(
+            lambda wrap: self.nested(batches, floor, wrap))
+        plain = pulls_per_prefix(lambda wrap: self.nested(batches, 0, wrap))
+        assert all(f <= p for f, p in zip(floored, plain))
+
+    @given(floored_batches)
+    def test_merge_nested_floor_one_too_high_raises(self, drawn):
+        _, batches = drawn
+        offsets = [off for _, batch in batches for off in batch]
+        if not offsets:
+            return
+        list(self.nested(batches, min(offsets)))
+        with pytest.raises(AssertionError):
+            list(self.nested(batches, min(offsets) + 1))
+
+    @given(floored_batches, st.integers(1, 30))
+    def test_merge_nested_budgeted_floor_yields_a_longer_prefix(
+            self, drawn, steps):
+        floor, batches = drawn
+        full = list(self.nested(batches, 0))
+        floored = list(self.nested(batches, floor,
+                                   budget=QueryBudget(max_steps=steps)))
+        plain = list(self.nested(batches, 0,
+                                 budget=QueryBudget(max_steps=steps)))
+        assert floored == full[:len(floored)]
+        assert len(floored) >= len(plain)
+
+    @staticmethod
+    def pairs(batches, floor, slack, wrap=iter, budget=None):
+        items = [(base, base + off, (index, j))
+                 for index, (base, batch) in enumerate(batches)
+                 for j, off in enumerate(batch)]
+        return reorder_with_slack(wrap(items), slack, budget, floor)
+
+    @given(floored_batches)
+    def test_reorder_floor_changes_nothing_but_pulls(self, drawn):
+        floor, batches = drawn
+        slack = floor + 6
+        assert (list(self.pairs(batches, floor, slack))
+                == list(self.pairs(batches, 0, slack)))
+        floored = pulls_per_prefix(
+            lambda wrap: self.pairs(batches, floor, slack, wrap))
+        plain = pulls_per_prefix(
+            lambda wrap: self.pairs(batches, 0, slack, wrap))
+        assert all(f <= p for f, p in zip(floored, plain))
+
+    @given(floored_batches)
+    def test_reorder_floor_one_too_high_raises(self, drawn):
+        floor, batches = drawn
+        offsets = [off for _, batch in batches for off in batch]
+        if not offsets:
+            return
+        list(self.pairs(batches, min(offsets), floor + 6))
+        with pytest.raises(AssertionError):
+            list(self.pairs(batches, min(offsets) + 1, floor + 6))
+
+    @given(floored_batches, st.integers(1, 30))
+    def test_reorder_budgeted_floor_yields_a_longer_prefix(
+            self, drawn, steps):
+        floor, batches = drawn
+        slack = floor + 6
+        full = list(self.pairs(batches, 0, slack))
+        floored = list(self.pairs(batches, floor, slack,
+                                  budget=QueryBudget(max_steps=steps)))
+        plain = list(self.pairs(batches, 0, slack,
+                                budget=QueryBudget(max_steps=steps)))
+        assert floored == full[:len(floored)]
+        assert len(floored) >= len(plain)
+
+
 class TestReorderWithSlack:
     def test_reorders_within_slack(self):
         items = [(0, 3, "a"), (1, 1, "b"), (2, 2, "c")]
