@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import enum
 import time
+import weakref
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import islice, product
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -792,7 +794,7 @@ class CompletionEngine:
                 root_span.set("steps", steps)
                 root_span.set("completions", len(completions))
                 root_span.set("cached", 1 if cached else 0)
-                if query is not None and query.cache is not None:
+                if query is not None and query.sharing:
                     root_span.set("stream_hits", query.stream_hits)
                     root_span.set("stream_misses", query.stream_misses)
             return QueryOutcome(
@@ -1059,6 +1061,13 @@ class _Query:
     ``degraded`` is shared with the ranker, so every guarded subsystem
     (oracle, indexes, type checks) records failures into one per-query
     set.
+
+    The query holds its engine weakly.  The engine's cache keeps the
+    query's streams, and the streams keep the query, so a strong
+    reference would make a cycle that only the garbage collector frees;
+    this way a finished engine goes as soon as its last reference does.
+    A query that outlives its engine runs on as a cache-off query, with
+    the same answers.
     """
 
     def __init__(
@@ -1072,9 +1081,11 @@ class _Query:
         tracer: Optional[Tracer] = None,
         signature: Optional[tuple] = None,
     ) -> None:
-        self.engine = engine
+        self._engine = weakref.ref(engine)
         self.config = engine.config
         self.ts: TypeSystem = engine.ts
+        self.index = engine.index
+        self.reachability = engine.reachability
         self.context = context
         self.ranker = Ranker(context, engine.config.ranking, abstypes)
         self.expected_type = expected_type
@@ -1086,17 +1097,22 @@ class _Query:
         #: measured (and attributable) on every query
         self.meter = budget if budget is not None else QueryBudget()
         self.degraded = self.ranker.degraded
-        #: the cross-query cache (None = this query must run cold)
-        self.cache = engine._stream_cache(abstypes, budget)
+        #: may this query share streams through the engine's cache?
+        self.sharing = engine._stream_cache(abstypes, budget) is not None
         #: this query's sub-stream lookups, by outcome (a traced query
         #: reports them on its ``query`` span)
         self.stream_hits = 0
         self.stream_misses = 0
-        if self.cache is not None:
+        if self.sharing:
             #: the query key's context signature, when the caller has it
             self._ctx_sig = (signature if signature is not None
                              else context_signature(context))
             self._cfg_sig = engine._config_signature()
+
+    def _sharing_engine(self) -> Optional[CompletionEngine]:
+        """The engine whose cache this query shares, or ``None`` when
+        the query runs cold (not sharing, or the engine is gone)."""
+        return self._engine() if self.sharing else None
 
     def result_stream(self, pe: Expr) -> Iterator[Completion]:
         """The query's final stream: dispatch on ``pe``, then dedup."""
@@ -1120,7 +1136,8 @@ class _Query:
         """A re-playable :class:`Materialized` stream for a
         subexpression: the cache's shared one when caching is on, a
         private one otherwise."""
-        if self.cache is None:
+        engine = self._sharing_engine()
+        if engine is None:
             return Materialized(make())
         key = (
             tag,
@@ -1130,9 +1147,9 @@ class _Query:
             self.keyword,
             self._cfg_sig,
         )
-        shared, hit = self.cache.stream(
+        shared, hit = engine.cache.stream(
             self.ts, key, make,
-            footprint=lambda: self.engine._footprint(pe, target),
+            footprint=lambda: engine._footprint(pe, target),
         )
         self.stream_hits += hit
         self.stream_misses += not hit
@@ -1233,13 +1250,14 @@ class _Query:
         items: List[Scored] = [
             (self.ranker.score(var), var) for var in self.context.local_vars()
         ]
-        if self.cache is None:
+        engine = self._sharing_engine()
+        if engine is None:
             for root in self.context.global_roots():
                 items.append((self.ranker.score(root), root))
         else:
-            make_groups, make_missing = self.engine._root_group_makers(
+            make_groups, make_missing = engine._root_group_makers(
                 self.ranker)
-            items.extend(self.cache.global_roots(
+            items.extend(engine.cache.global_roots(
                 self.ts,
                 self.config.ranking.depth,
                 make_groups,
@@ -1266,9 +1284,11 @@ class _Query:
         """Best-first closure over lookup chains (Dijkstra on expressions).
 
         One successor table per stream maps ``(base_type, remaining)`` to
-        the surviving ``(cost, member, is_call)`` edges and the number of
-        reachability checks that built them; a hit charges those steps.
-        Nothing is stored once reachability has degraded."""
+        the surviving ``(cost, member, is_call)`` edges, sorted by cost
+        (stably, so ties keep lookup order) as :func:`best_first` wants
+        them, and the number of reachability checks that built them; a
+        hit charges those steps.  Nothing is stored once reachability has
+        degraded."""
         ts = self.ts
         ranker = self.ranker
         meter = self.meter
@@ -1295,27 +1315,27 @@ class _Query:
                 if not prune
                 or self._can_reach(result_type, target, remaining, methods)
             ]
+            edges.sort(key=itemgetter(0))
             if "reachability" not in self.degraded:
                 table[(base_type, remaining)] = (
                     edges, len(lookups) if prune else 0)
             return edges
 
-        def expand(score: int, node: Tuple[Expr, int]) -> List[Scored]:
+        def expand(score: int, node: Tuple[Expr, int]) -> list:
             expr, steps = node
             base_type = expr.type
             if steps >= max_steps or base_type is None:
                 return []
-            steps += 1
-            return [
-                (score + cost,
-                 (Call(member, (expr,)) if is_call
-                  else FieldAccess(expr, member), steps))
-                for cost, member, is_call in successors(
-                    base_type, max_steps - steps)
-            ]
+            return successors(base_type, max_steps - steps - 1)
+
+        def build(node: Tuple[Expr, int], edge: tuple) -> Tuple[Expr, int]:
+            expr, steps = node
+            _cost, member, is_call = edge
+            return (Call(member, (expr,)) if is_call
+                    else FieldAccess(expr, member), steps + 1)
 
         seeds = [(score, (expr, 0)) for score, expr in roots]
-        for score, (expr, _steps) in best_first(seeds, expand, meter):
+        for score, (expr, _steps) in best_first(seeds, expand, build, meter):
             if self._fits(expr, target):
                 yield score, expr
 
@@ -1325,7 +1345,7 @@ class _Query:
         """Reachability pruning, degrading to *no pruning* (correct but
         slower) when the index fails."""
         try:
-            return self.engine.reachability.can_reach(
+            return self.reachability.can_reach(
                 source, target, within, methods, self.meter
             )
         except Exception:
@@ -1353,10 +1373,10 @@ class _Query:
         """The narrowed candidate set, degrading to a full scan of every
         method when the index fails."""
         try:
-            return self.engine.index.candidate_methods(arg_types, self.meter)
+            return self.index.candidate_methods(arg_types, self.meter)
         except Exception:
             self.degraded.add("method_index")
-            return self.engine.index.all_methods()
+            return self.index.all_methods()
 
     def _methods_for_args(
         self, base: int, args: tuple, target: Optional[TypeDef]

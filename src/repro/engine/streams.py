@@ -21,7 +21,9 @@ combinator preserves that invariant:
 * :func:`reorder_with_slack` — restores exact order when an extra cost
   between a floor and a slack is added to an almost-sorted stream (used
   for comparison/assignment pair terms);
-* :func:`best_first` — Dijkstra-style closure for the ``.?*`` suffixes.
+* :func:`best_first` — Dijkstra-style closure for the ``?`` and ``.?*``
+  chains over edges sorted by cost, building a successor only when it
+  is popped.
 
 Ties are broken by arrival order (a monotone sequence number), which makes
 all downstream rankings deterministic.
@@ -182,10 +184,14 @@ class Materialized(Generic[T]):
     If the underlying iterator raises, the error is remembered and
     re-raised on every later pull past the computed prefix: a stream that
     failed mid-computation must not silently replay as a short stream.
+
+    Once the iterator is exhausted or has raised, it is dropped: a
+    finished stream keeps only its items, not the generator that made
+    them (nor the query state that generator holds).
     """
 
     def __init__(self, stream: Iterable[Scored]) -> None:
-        self._iterator = iter(stream)
+        self._iterator: Optional[Iterator[Scored]] = iter(stream)
         self._items: List[Scored] = []
         self._exhausted = False
         self._error: Optional[BaseException] = None
@@ -197,11 +203,13 @@ class Materialized(Generic[T]):
             if self._error is not None:
                 raise self._error
             try:
-                item = next(self._iterator)
+                item = next(self._iterator)  # type: ignore[arg-type]
             except StopIteration:
                 self._exhausted = True
+                self._iterator = None
             except BaseException as error:
                 self._error = error
+                self._iterator = None
                 raise
             else:
                 items.append(item)
@@ -376,26 +384,52 @@ def reorder_with_slack(
 @_monotone
 def best_first(
     roots: Iterable[Scored],
-    expand: Callable[[int, T], Iterable[Scored]],
+    expand: Callable[[int, T], Sequence[tuple]],
+    build: Callable[[T, tuple], T],
     budget: Optional[QueryBudget] = None,
 ) -> ScoredIter:
     """Dijkstra-style closure: yield roots and everything reachable through
     ``expand`` in non-decreasing score order.
 
-    ``expand(score, value)`` returns successors costing at least ``score``.
-    Used for the ``.?*f`` / ``.?*m`` chains, whose completion sets are
-    unbounded: callers simply stop pulling after *n* results — or hand in
-    a budget, which bounds even a caller that never stops pulling.
+    ``expand(score, value)`` returns ``value``'s outgoing edges, tuples
+    whose first item is the edge's cost (never negative), sorted by cost
+    with a stable sort; ``build(value, edge)`` makes the successor the
+    edge leads to, which costs ``score + cost``.  An expanded value pushes
+    one cursor over its edges and reserves one sequence number per edge,
+    and popping the cursor builds that one successor and moves the cursor
+    to the next edge: only popped successors are ever built, yet each
+    keeps the ``(score, seq)`` key it would have if all were pushed at
+    once, so the order (ties by arrival) and the budget ticks are the
+    eager search's.  Used for the ``?`` and ``.?*f`` / ``.?*m`` chains,
+    whose completion sets are unbounded: callers simply stop pulling
+    after *n* results — or hand in a budget, which bounds even a caller
+    that never stops pulling.
     """
-    heap: List[Tuple[int, int, T]] = []
-    seq = count()
+    # a heap entry is (score, seq, value, edges, position): a root
+    # carries its value and no edges; a cursor carries its parent and
+    # the sorted edges, at the position of the successor it stands for
+    heap: List[tuple] = []
+    seq = 0
     for score, value in roots:
-        heapq.heappush(heap, (score, next(seq), value))
+        heap.append((score, seq, value, None, 0))
+        seq += 1
+    heapq.heapify(heap)
     while heap:
         if budget is not None and not budget.tick():
             return
-        score, _, value = heapq.heappop(heap)
+        score, number, value, edges, position = heapq.heappop(heap)
+        if edges is not None:
+            edge = edges[position]
+            position += 1
+            if position < len(edges):
+                following = edges[position]
+                assert following[0] >= edge[0], "edges are not sorted by cost"
+                heapq.heappush(heap, (score - edge[0] + following[0],
+                                      number + 1, value, edges, position))
+            value = build(value, edge)
         yield score, value
-        for next_score, successor in expand(score, value):
-            assert next_score >= score, "closure produced a cheaper successor"
-            heapq.heappush(heap, (next_score, next(seq), successor))
+        edges = expand(score, value)
+        if edges:
+            assert edges[0][0] >= 0, "closure produced a cheaper successor"
+            heapq.heappush(heap, (score + edges[0][0], seq, value, edges, 0))
+            seq += len(edges)

@@ -132,14 +132,16 @@ class LookupResult:
 
 @dataclass
 class Sweep:
-    """What a ranking sweep shares across its variants' runs of one
-    project: the method and reachability indexes and the leave-one-out
-    analyses by site.  None of them reads a ranking term; engines, which
-    do, are never shared across variants."""
+    """What a sweep shares across its variants' runs of one project:
+    the method and reachability indexes and the leave-one-out analyses
+    by site.  None of them reads a ranking term; engines, which do, are
+    never shared across variants.  ``analyses=None`` shares the indexes
+    only, for sweeps whose other variants never read a leave-one-out
+    analysis."""
 
     index: Optional[MethodIndex] = None
     reachability: Optional[ReachabilityIndex] = None
-    analyses: Dict[Tuple[int, int], AbstractTypeAnalysis] = field(
+    analyses: Optional[Dict[Tuple[int, int], AbstractTypeAnalysis]] = field(
         default_factory=dict)
 
 
@@ -147,8 +149,8 @@ class _ProjectRun:
     """Per-project engine + abstract-type analysis cache.
 
     Sites arrive in order, so alone a run keeps only the current site's
-    leave-one-out analysis; in a :class:`Sweep` it keeps every site's
-    for the variants after it.
+    leave-one-out analysis; in a :class:`Sweep` that shares analyses it
+    keeps every site's for the variants after it.
     """
 
     def __init__(
@@ -168,7 +170,11 @@ class _ProjectRun:
             sweep.index = self.engine.index
             sweep.reachability = self.engine.reachability
         self._full_analysis: Optional[AbstractTypeAnalysis] = None
-        self._analyses = sweep.analyses if sweep else {}
+        shared = sweep.analyses if sweep is not None else None
+        #: keep every site's analysis (for later variants), or only the
+        #: current site's
+        self._keep_analyses = shared is not None
+        self._analyses = shared if shared is not None else {}
 
     def oracle_for(
         self, impl: MethodImpl, stmt_index: int
@@ -183,7 +189,7 @@ class _ProjectRun:
         key = (id(impl), stmt_index)
         analysis = self._analyses.get(key)
         if analysis is None:
-            if self.sweep is None:
+            if not self._keep_analyses:
                 self._analyses.clear()
             analysis = self._analyses[key] = AbstractTypeAnalysis(
                 self.project, exclude_from=(impl, stmt_index)

@@ -13,6 +13,7 @@ from ..engine.completer import EngineConfig
 from ..engine.ranking import RankingConfig
 from .experiments import (
     EvalConfig,
+    Sweep,
     project_runs,
     run_argument_prediction,
     run_assignment_prediction,
@@ -227,13 +228,18 @@ def reachability_ablation(
 def abstypes_ablation(projects: Sequence[Project]) -> Ablation:
     """Top-5 share of guessable argument queries under the paper's
     per-site ``exclude`` protocol, the ``full`` analysis (the Sec. 5.5
-    maturity leak) and ``none``."""
+    maturity leak) and ``none``.  The arms share each project's indexes
+    (one :class:`~repro.eval.experiments.Sweep` per project); only
+    ``exclude`` reads leave-one-out analyses, so none are kept past
+    their site."""
+    sweeps = {project.name: Sweep(analyses=None) for project in projects}
     arms = {}
     for mode in ("exclude", "full", "none"):
         cfg = EvalConfig(limit=40, max_arguments_per_project=30,
                          abstypes=mode, with_return_type=False,
                          with_intellisense=False)
+        runs = project_runs(projects, cfg, sweeps)
         arms[mode] = proportion_top(
-            [r.rank for r in run_argument_prediction(projects, cfg)
+            [r.rank for r in run_argument_prediction(projects, cfg, runs)
              if r.guessable], 5)
     return Ablation(cfg, arms)

@@ -169,14 +169,18 @@ class TestQueryBudget:
 # ----------------------------------------------------------------------
 # stream combinators under budget
 # ----------------------------------------------------------------------
+def _successor(value, edge):
+    return value + 1
+
+
 class TestStreamTruncation:
     def test_best_first_stops_on_tripped_budget(self):
         def expand(score, value):
             # an infinite closure: every node has one successor
-            yield score + 1, value + 1
+            return [(1,)]
 
         budget = QueryBudget(max_steps=5)
-        items = list(best_first([(0, 0)], expand, budget))
+        items = list(best_first([(0, 0)], expand, _successor, budget))
         assert 0 < len(items) <= 5
         assert budget.tripped == TRUNCATED_BUDGET
         # the emitted prefix is still sorted
@@ -185,13 +189,14 @@ class TestStreamTruncation:
 
     def test_best_first_unbudgeted_prefix_agrees(self):
         def expand(score, value):
-            yield score + 1, value + 1
+            return [(1,)]
 
         budget = QueryBudget(max_steps=4)
-        budgeted = list(best_first([(0, 0)], expand, budget))
+        budgeted = list(best_first([(0, 0)], expand, _successor, budget))
         from itertools import islice
 
-        free = list(islice(best_first([(0, 0)], expand), len(budgeted)))
+        free = list(islice(best_first([(0, 0)], expand, _successor),
+                           len(budgeted)))
         assert budgeted == free
 
 

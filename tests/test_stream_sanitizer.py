@@ -107,10 +107,11 @@ class TestCombinatorOrdering:
             if value.count("x") >= 3:
                 return []
             spread = (len(value) * 7919) % 5  # deterministic pseudo-noise
-            return [(score + spread, value + "x"),
-                    (score + spread + 1, value + "xx")]
+            return [(spread, "x"), (spread + 1, "xx")]
 
-        result = list(best_first(roots, expand, make_budget(steps)))
+        result = list(best_first(roots, expand,
+                                 lambda value, edge: value + edge[1],
+                                 make_budget(steps)))
         assert_nondecreasing(result)
 
 

@@ -1,6 +1,9 @@
 """Tests (incl. property-based) for the score-ordered stream combinators."""
 
-from itertools import islice, product
+import heapq
+import weakref
+from itertools import count, islice, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,6 +155,34 @@ class TestMaterialized:
         assert m.get(0) == (1, "a")
         assert m.get(1) == (2, "b")
         assert m.broken
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_drops_its_iterator_once_finished(self, fails):
+        def gen():
+            yield (1, "a")
+            yield (2, "b")
+            if fails:
+                raise RuntimeError("expansion failed")
+
+        iterator = gen()
+        producer = weakref.ref(iterator)
+        m = Materialized(iterator)
+        del iterator
+        assert m.get(1) == (2, "b")
+        assert producer() is not None  # not finished: still needed
+        if fails:
+            with pytest.raises(RuntimeError):
+                m.get(2)
+        else:
+            assert m.get(2) is None
+        assert producer() is None
+        # the replay is unchanged, failure included
+        assert [m.get(0), m.get(1)] == [(1, "a"), (2, "b")]
+        if fails:
+            with pytest.raises(RuntimeError):
+                m.get(2)
+        else:
+            assert list(m) == [(1, "a"), (2, "b")]
 
 
 class TestOrderedProduct:
@@ -405,33 +436,131 @@ class TestReorderWithSlack:
         assert len(result) == len(items)
 
 
+def _append(value, edge):
+    """``best_first`` builder: the successor is ``value`` + the edge's
+    label (its second item)."""
+    return value + edge[1]
+
+
+def _succ(value, edge):
+    return value + 1
+
+
+def _eager_best_first(roots, expand, build, budget=None):
+    """The reference: ``best_first`` as it was before cursors, pushing
+    every successor of a popped value at once, in edge order."""
+    heap = []
+    seq = count()
+    for score, value in roots:
+        heapq.heappush(heap, (score, next(seq), value))
+    while heap:
+        if budget is not None and not budget.tick():
+            return
+        score, _, value = heapq.heappop(heap)
+        yield score, value
+        for edge in expand(score, value):
+            heapq.heappush(heap, (score + edge[0], next(seq),
+                                  build(value, edge)))
+
+
+#: successor tables: per table, a charge (reachability checks a hit
+#: ticks) and its edges as (cost, label), costs drawn from 0..2 so
+#: that ties are common; edge lists are in lookup order, unsorted
+successor_tables = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.lists(st.integers(0, 2), max_size=5).map(
+                  lambda costs: [(cost, label)
+                                 for label, cost in enumerate(costs)])),
+    min_size=1, max_size=4,
+)
+
+
+class TestBestFirstAgainstEager:
+    """The cursor search yields what eager pushing yields, in the same
+    order, and ticks the budget the same number of times: each edge list
+    is sorted stably, so equal-cost siblings keep their lookup order."""
+
+    @given(
+        roots=st.lists(st.integers(0, 4), max_size=5),
+        tables=successor_tables,
+        depth=st.integers(0, 4),
+        max_steps=st.one_of(st.none(), st.integers(0, 60)),
+    )
+    def test_same_sequence_and_steps(self, roots, tables, depth, max_steps):
+        # a value is (root, path of edge labels); the table it expands
+        # through depends on both, and expanding charges the table's fee
+        def edges_of(value):
+            root, path = value
+            if len(path) >= depth:
+                return None
+            return tables[(root * 7 + len(path) + sum(path)) % len(tables)]
+
+        def eager_expand(score, value):
+            table = edges_of(value)
+            if table is None:
+                return []
+            eager_budget.tick(table[0])
+            return table[1]
+
+        def cursor_expand(score, value):
+            table = edges_of(value)
+            if table is None:
+                return []
+            cursor_budget.tick(table[0])
+            return sorted(table[1], key=itemgetter(0))
+
+        def build(value, edge):
+            root, path = value
+            return root, path + (edge[1],)
+
+        seeds = [(score, (root, ())) for root, score in enumerate(roots)]
+        eager_budget = QueryBudget(max_steps=max_steps)
+        cursor_budget = QueryBudget(max_steps=max_steps)
+        # without a step limit the eager closure of a 0-cost cycle still
+        # ends: ``depth`` bounds every path
+        expected = list(_eager_best_first(seeds, eager_expand, build,
+                                          eager_budget))
+        actual = list(best_first(seeds, cursor_expand, build, cursor_budget))
+        assert actual == expected
+        assert cursor_budget.steps == eager_budget.steps
+        assert cursor_budget.tripped == eager_budget.tripped
+
+
 class TestBestFirst:
     def test_dijkstra_order(self):
         # root 0 expands to 4; root 1 expands to 2
         def expand(score, value):
             if value == "r0":
-                return [(4, "r0x")]
+                return [(4, "x")]
             if value == "r1":
-                return [(2, "r1x")]
+                return [(1, "x")]
             return []
 
-        result = list(best_first([(0, "r0"), (1, "r1")], expand))
+        result = list(best_first([(0, "r0"), (1, "r1")], expand, _append))
         assert [s for s, _ in result] == [0, 1, 2, 4]
 
     def test_infinite_closure_is_lazy(self):
         def expand(score, value):
-            yield (score + 1, value + 1)
+            return [(1,)]
 
-        first_five = take(best_first([(0, 0)], expand), 5)
+        first_five = take(best_first([(0, 0)], expand, _succ), 5)
         assert [s for s, _ in first_five] == [0, 1, 2, 3, 4]
 
     def test_cheaper_successor_asserts(self):
         def expand(score, value):
-            return [(score - 1, value)]
+            return [(-1,)]
 
         with pytest.raises(AssertionError):
-            list(islice(best_first([(5, "x")], expand), 3))
+            list(islice(best_first([(5, 0)], expand, _succ), 3))
+
+    def test_unsorted_edges_assert(self):
+        def expand(score, value):
+            return [(2, "b"), (1, "a")] if len(value) < 2 else []
+
+        with pytest.raises(AssertionError):
+            list(best_first([(0, "r")], expand, _append))
 
     def test_tie_break_is_fifo(self):
-        result = list(best_first([(0, "first"), (0, "second")], lambda s, v: []))
+        result = list(best_first([(0, "first"), (0, "second")],
+                                 lambda s, v: [], _append))
         assert [v for _s, v in result] == ["first", "second"]
