@@ -34,6 +34,7 @@ import time
 import weakref
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import islice, product
 from operator import itemgetter
 from typing import (
@@ -1364,7 +1365,7 @@ class _Query:
             self.config.max_tuple_candidates,
         )
 
-        def expand(base: int, args: tuple) -> List[Scored]:
+        def expand(base: int, args: tuple) -> Iterator[Scored]:
             return self._methods_for_args(base, args, target)
 
         return merge_nested(tuples, expand, self.meter)
@@ -1380,31 +1381,60 @@ class _Query:
 
     def _methods_for_args(
         self, base: int, args: tuple, target: Optional[TypeDef]
-    ) -> List[Scored]:
-        """All method completions using exactly these argument expressions
-        (cheapest argument placement per method)."""
+    ) -> Iterator[Scored]:
+        """The method completions using exactly these argument
+        expressions (cheapest argument placement per method), by score,
+        then full name, then candidate order.
+
+        Candidates wait keyed the same way on a lower bound of their
+        score, :meth:`Ranker.call_floor` plus, for a method with
+        parameters, :meth:`Ranker.namespace_floor`.  The least waiting
+        one is placed only after every placed call keyed below it has
+        been yielded, so a caller that stops pulling leaves the rest
+        unplaced."""
         arg_types = [a.type for a in args]
-        distance_maps = [None if arg_type is None
-                         else self.ts.distances_from(arg_type)
-                         for arg_type in arg_types]
-        results: List[Tuple[int, str, Expr]] = []
-        for method in self._candidate_methods(arg_types):
+        call_floor = self.ranker.call_floor
+        namespace_floor = self.ranker.namespace_floor(arg_types)
+        constructors = self.config.generate_constructors
+        keyword = self.keyword
+        waiting: List[tuple] = []
+        for index, method in enumerate(self._candidate_methods(arg_types)):
             params = method.all_params()
             if len(params) < len(args):
                 continue
-            if method.is_constructor and not self.config.generate_constructors:
+            if method.is_constructor and not constructors:
                 continue
             if not self._return_matches(method, target):
                 continue
-            if self.keyword is not None and self.keyword not in method.name.lower():
+            if keyword is not None and keyword not in method.name.lower():
                 continue
+            bound = base + call_floor(method)
+            if method.params:
+                bound += namespace_floor
+            waiting.append((bound, method.full_name, index, method, params))
+        if not waiting:
+            return
+        heapify(waiting)
+        distance_maps = [None if arg_type is None
+                         else self.ts.distances_from(arg_type)
+                         for arg_type in arg_types]
+        # (score, full name, candidate index, call): keys are unique, so
+        # calls are never compared
+        placed: List[tuple] = []
+        while waiting:
+            bound, name, index, method, params = heappop(waiting)
+            while placed and placed[0] < (bound, name, index):
+                score, _name, _index, call = heappop(placed)
+                yield score, call
             best = self._best_placement(
                 method, params, args, arg_types, distance_maps)
             if best is not None:
-                score, call = best
-                results.append((base + score, method.full_name, call))
-        results.sort(key=lambda item: (item[0], item[1]))
-        return [(score, call) for score, _name, call in results]
+                score = base + best[0]
+                assert score >= bound, "a call scored below its bound"
+                heappush(placed, (score, name, index, best[1]))
+        while placed:
+            score, _name, _index, call = heappop(placed)
+            yield score, call
 
     def _best_placement(
         self,

@@ -326,11 +326,23 @@ class Ranker:
         whatever the arguments: the receiver dot, the in-scope-static
         term and, when the oracle knows nothing, one abstract-type
         mismatch per slot.  Type distances and the namespace term count
-        0.  The ``merge_nested`` floor of a known call."""
+        0.  The ``merge_nested`` floor of a known call, and, plus
+        :meth:`namespace_floor` for a method with parameters, the bound
+        an unknown call places its candidate methods in order of."""
         floor = self._receiver_scope_cost(method)
         if method.params and self._knows_nothing():
             floor += len(method.all_params())
         return floor
+
+    def namespace_floor(self, arg_types: "Sequence[Optional[TypeDef]]") -> int:
+        """The namespace term of any call with parameters whose
+        arguments have these types, where it is known without scoring:
+        :data:`NAMESPACE_CAP` when the term is on and fewer than two of
+        the types are non-primitive (a raising term scores the same),
+        else 0."""
+        if self.config.namespaces and len(_namespaced(arg_types)) < 2:
+            return NAMESPACE_CAP
+        return 0
 
     def pair_floor(self) -> int:
         """The least :meth:`assign_pair_cost` or :meth:`compare_pair_cost`
@@ -381,11 +393,7 @@ class Ranker:
     ) -> int:
         """``3 - min(3, |common namespace prefix|)``; similarity is 0 when
         fewer than two non-primitive argument types participate."""
-        namespaces = [
-            t.namespace_parts
-            for t in arg_types
-            if t is not None and not t.is_primitive
-        ]
+        namespaces = _namespaced(arg_types)
         if len(namespaces) < 2:
             return NAMESPACE_CAP
         declaring = method.declaring_type
@@ -456,6 +464,13 @@ class Ranker:
                           self.abstypes)
             breakdown[attr] = solo.score(expr)
         return breakdown
+
+
+def _namespaced(arg_types: "Sequence[Optional[TypeDef]]") -> "list[tuple]":
+    """The namespaces of the non-primitive types among ``arg_types``:
+    the ones the namespace term compares."""
+    return [t.namespace_parts for t in arg_types
+            if t is not None and not t.is_primitive]
 
 
 def _common_prefix_length(sequences: "list[tuple]") -> int:

@@ -15,9 +15,10 @@ combinator preserves that invariant:
   loop of Algorithm 1), each index vector pushed once, by its parent, and
   stream ``j``'s item ``i + 1`` first pulled when ``i * e_j`` is popped;
 * :func:`merge_nested` — a sorted outer stream where each item expands to a
-  finite batch of results costing at least the item's own score plus a
-  caller-given floor (the "all type-correct completions of e using
-  concreteSubs" loop);
+  finite, sorted batch of results costing at least the item's own score
+  plus a caller-given floor (the "all type-correct completions of e using
+  concreteSubs" loop), each batch pulled one result past what it has
+  handed out;
 * :func:`reorder_with_slack` — restores exact order when an extra cost
   between a floor and a slack is added to an almost-sorted stream (used
   for comparison/assignment pair terms);
@@ -181,9 +182,12 @@ class Materialized(Generic[T]):
     query asking for the same sub-stream.  There is no lock: an engine
     and its streams stay on one thread.
 
-    If the underlying iterator raises, the error is remembered and
-    re-raised on every later pull past the computed prefix: a stream that
-    failed mid-computation must not silently replay as a short stream.
+    If the underlying iterator raises, the error propagates, and a copy
+    of it (same type, arguments and attributes) is raised on every later
+    pull past the computed prefix: a stream that failed mid-computation
+    must not silently replay as a short stream.  The kept copy carries
+    no traceback, whose frames would hold this stream and its producer
+    in a cycle only the garbage collector frees.
 
     Once the iterator is exhausted or has raised, it is dropped: a
     finished stream keeps only its items, not the generator that made
@@ -201,14 +205,14 @@ class Materialized(Generic[T]):
         items = self._items
         while not self._exhausted and len(items) <= index:
             if self._error is not None:
-                raise self._error
+                raise _bare_copy(self._error)
             try:
                 item = next(self._iterator)  # type: ignore[arg-type]
             except StopIteration:
                 self._exhausted = True
                 self._iterator = None
             except BaseException as error:
-                self._error = error
+                self._error = _bare_copy(error)
                 self._iterator = None
                 raise
             else:
@@ -235,6 +239,16 @@ class Materialized(Generic[T]):
                 return
             yield item
             index += 1
+
+
+def _bare_copy(error: BaseException) -> BaseException:
+    """``error``'s type, arguments and attributes without its traceback,
+    context or cause (made without ``__init__``, whose signature may
+    differ from ``args``)."""
+    kind = type(error)
+    copy = kind.__new__(kind, *error.args)
+    copy.__dict__.update(error.__dict__)
+    return copy
 
 
 @_monotone
@@ -319,33 +333,59 @@ def merge_nested(
     """Expand each outer item into results and yield all results globally
     sorted.
 
-    Requires: ``outer`` is sorted, and every result of ``expand(score, v)``
-    costs at least ``score + floor`` (costs only grow — true of every
-    ranking term, all of which are non-negative).  ``floor`` is the
-    least any result adds to its item's score: a result is yielded as
-    soon as it costs no more than the next item's score plus ``floor``,
-    since nothing not yet expanded can come before it.  The output is
-    the same for every valid floor; a higher one pulls fewer outer
-    items (so a budget truncates it later), and one that is too high
-    fails the assertion.
+    Requires: ``outer`` is sorted; ``expand(score, v)`` returns its
+    results sorted by score with a stable sort (any iterable, pulled
+    lazily); and every result costs at least ``score + floor`` (costs
+    only grow — true of every ranking term, all of which are
+    non-negative).  ``floor`` is the least any result adds to its item's
+    score: a result is yielded as soon as it costs no more than the next
+    item's score plus ``floor``, since nothing not yet expanded can come
+    before it.  The output is the same for every valid floor; a higher
+    one pulls fewer outer items (so a budget truncates it later), and one
+    that is too high fails the assertion.
+
+    The heap holds one cursor per expansion, keyed ``(score, expansion
+    number, position)``, so ties keep arrival order: earlier expansion
+    first, then earlier position.  A result is pulled only once its
+    predecessor from the same expansion has been yielded, so an
+    expansion that is a generator computes only what is popped.
     """
-    heap: List[Tuple[int, int, U]] = []
-    seq = count()
+    # a heap entry is (score, expansion number, position, result, the
+    # expansion's iterator): a cursor at that expansion's least unpopped
+    # result
+    heap: List[tuple] = []
+    number = 0
     for base, value in outer:
         if budget is not None and not budget.tick():
             return
         least = base + floor
         while heap and heap[0][0] <= least:
-            score, _, result = heapq.heappop(heap)
-            yield score, result
-        for score, result in expand(base, value):
-            assert score >= least, "expand produced a result below its floor"
-            heapq.heappush(heap, (score, next(seq), result))
+            cursor = heapq.heappop(heap)
+            yield cursor[0], cursor[3]
+            _advance(heap, cursor)
+        results = iter(expand(base, value))
+        first = next(results, None)
+        if first is not None:
+            assert first[0] >= least, "expand produced a result below its floor"
+            heapq.heappush(heap, (first[0], number, 0, first[1], results))
+        number += 1
     while heap:
         if budget is not None and not budget.tick():
             return
-        score, _, result = heapq.heappop(heap)
-        yield score, result
+        cursor = heapq.heappop(heap)
+        yield cursor[0], cursor[3]
+        _advance(heap, cursor)
+
+
+def _advance(heap: List[tuple], cursor: tuple) -> None:
+    """Push the cursor after a popped :func:`merge_nested` cursor: the
+    next result of the same expansion, if there is one."""
+    score, number, position, _result, results = cursor
+    following = next(results, None)
+    if following is not None:
+        assert following[0] >= score, "expansion is not sorted"
+        heapq.heappush(heap, (following[0], number, position + 1,
+                              following[1], results))
 
 
 @_monotone

@@ -19,17 +19,18 @@ from __future__ import annotations
 import random
 import zlib
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from repro import Context, RankingConfig
 from repro.analysis import AbstractTypeAnalysis
 from repro.corpus import ImplAbstractTypes
-from repro.corpus.projects import build_familyshow_project
+from repro.corpus.projects import build_all_projects, build_familyshow_project
 from repro.engine.completer import CompletionEngine, EngineConfig, _Query
 from repro.engine.index import MethodIndex
 from repro.engine.ranking import AbstractTypeOracle
+from repro.eval import queries as paper_queries
 from repro.ide.workspace import Workspace
 from repro.lang import Unfilled, Var
 
@@ -240,3 +241,68 @@ def test_fitted_oracle_matches_some_slots(universes):
                 query._methods_for_args(0, args, None)])
         differs = differs or answers[0] != answers[1]
     assert differs
+
+
+@pytest.mark.parametrize("ranking", CONFIGS, ids=lambda c: c.label())
+@pytest.mark.parametrize("name", ["familyshow", "familyshow-fitted"])
+def test_every_prefix_is_the_reference_prefix(universes, name, ranking):
+    """A caller that stops after ``k`` calls gets the reference's first
+    ``k``, whatever ``k``, under the know-nothing and the fitted
+    oracle."""
+    universe = _universe(universes, name)
+    engine = CompletionEngine(universe.ts, EngineConfig(ranking=ranking),
+                              index=universe.index)
+    query = _Query(engine, universe.context, universe.oracle, None)
+    for args in _argument_tuples(universe, "prefix:" + ranking.label())[:4]:
+        expected = _reference(query, args)
+        for k in range(len(expected) + 1):
+            stream = query._methods_for_args(0, args, None)
+            assert [_shape(score, call.method, call.args) for score, call
+                    in islice(stream, k)] == expected[:k], (args, k)
+    assert not query.degraded
+
+
+#: every CORPUS_STRIDE-th Sec. 5.1 query (an argument subset of a call
+#: with two or more parameters) of each corpus project, in site order
+CORPUS_STRIDE = 150
+
+
+def test_ten_completions_place_fewer_methods_than_a_drain(monkeypatch):
+    """On corpus 5.1 queries, ``complete_query(n=10)`` runs the
+    placement search on fewer methods than draining the same query
+    does: the candidates whose bound is above the tenth call stay
+    unplaced."""
+    placed = Counter()
+    placement = _Query._best_placement
+
+    def counted_placement(self, *args):
+        placed["now"] += 1
+        return placement(self, *args)
+
+    def placements(engine, pe, context, n):
+        before = placed["now"]
+        outcome = engine.complete_query(pe, context, n=n)
+        assert outcome.completions
+        return placed["now"] - before
+
+    monkeypatch.setattr(_Query, "_best_placement", counted_placement)
+    queries = 0
+    for project in build_all_projects():
+        engine = CompletionEngine(project.ts, EngineConfig(enable_cache=False))
+        found = 0
+        for impl, _index, call in project.iter_calls():
+            if call.method.arity < 2:
+                continue
+            for subset in paper_queries.method_query_subsets(call):
+                if found % CORPUS_STRIDE == 0:
+                    pe = paper_queries.unknown_call_query(subset)
+                    context = impl.context(project.ts)
+                    ten = placements(engine, pe, context, 10)
+                    drain = placements(engine, pe, context, 10 ** 6)
+                    assert ten <= drain
+                    placed["ten"] += ten
+                    placed["drain"] += drain
+                    queries += 1
+                found += 1
+    assert queries >= 25
+    assert placed["ten"] < placed["drain"]

@@ -1,5 +1,6 @@
 """Tests (incl. property-based) for the score-ordered stream combinators."""
 
+import gc
 import heapq
 import weakref
 from itertools import count, islice, product
@@ -18,6 +19,7 @@ from repro.engine.streams import (
     reorder_with_slack,
     take,
 )
+from repro.errors import BudgetExhausted
 
 
 def scored(values):
@@ -184,6 +186,42 @@ class TestMaterialized:
         else:
             assert list(m) == [(1, "a"), (2, "b")]
 
+    def test_broken_stream_frees_its_producer_at_del(self):
+        """A failed stream keeps no traceback: with the cyclic collector
+        off, what its producer held goes at ``del``, and every later
+        pull raises a copy of the error (type, message, attributes)."""
+
+        class Held:
+            pass
+
+        def gen(held):
+            yield (1, "a")
+            raise BudgetExhausted(7, 6)
+
+        held = Held()
+        held_ref = weakref.ref(held)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = Materialized(gen(held))
+            del held
+            raised = []
+            for _ in range(3):
+                try:
+                    m.get(1)
+                except BudgetExhausted as error:
+                    raised.append((str(error), error.steps, error.max_steps))
+            assert raised == [("query exhausted its step budget "
+                               "(7 of 6 steps)", 7, 6)] * 3
+            assert m.broken and m.get(0) == (1, "a")
+            m_ref = weakref.ref(m)
+            del m
+            assert m_ref() is None
+            assert held_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestOrderedProduct:
     def test_zero_streams(self):
@@ -267,6 +305,54 @@ class TestOrderedProduct:
         assert events == expected
 
 
+def eager_merge_nested(outer, expand, budget=None, floor=0):
+    """The reference :func:`merge_nested`: each expansion drained into
+    one heap when its item is pulled, ties in arrival order."""
+    heap = []
+    seq = count()
+    for base, value in outer:
+        if budget is not None and not budget.tick():
+            return
+        while heap and heap[0][0] <= base + floor:
+            score, _, result = heapq.heappop(heap)
+            yield score, result
+        for score, result in expand(base, value):
+            heapq.heappush(heap, (score, next(seq), result))
+    while heap:
+        if budget is not None and not budget.tick():
+            return
+        score, _, result = heapq.heappop(heap)
+        yield score, result
+
+
+def batch_outer(batches):
+    return [(base, index) for index, (base, _batch) in enumerate(batches)]
+
+
+def batch_expand(batches, pulls):
+    """Expansion ``index`` yields ``(base + offset, (index, position))``
+    stably sorted by score, appending ``index`` to ``pulls`` per pull."""
+
+    def expand(base, index):
+        results = sorted(
+            [(base + off, (index, j))
+             for j, off in enumerate(batches[index][1])],
+            key=itemgetter(0))
+        for result in results:
+            pulls.append(index)
+            yield result
+
+    return expand
+
+
+#: a sorted outer stream with tied scores, each item with up to five
+#: tie-prone offsets
+lazy_batches = st.lists(
+    st.tuples(st.integers(0, 8), st.lists(st.integers(0, 4), max_size=5)),
+    max_size=10,
+).map(sorted)
+
+
 class TestMergeNested:
     def test_expansion_order(self):
         outer = scored([0, 2])
@@ -292,6 +378,41 @@ class TestMergeNested:
         result = list(merge_nested(iter(scored(outer)), expand))
         assert is_sorted([s for s, _ in result])
         assert len(result) == len(outer) * len(offsets)
+
+    def test_unsorted_expansion_asserts(self):
+        def expand(base, value):
+            return [(base + 2, "b"), (base + 1, "a")]
+
+        with pytest.raises(AssertionError, match="not sorted"):
+            list(merge_nested(iter(scored([0])), expand))
+
+    @given(lazy_batches, st.one_of(st.none(), st.integers(1, 40)))
+    def test_lazy_equals_eager(self, batches, max_steps):
+        """Against every valid floor and budget: the eager merge's
+        results and steps, with no expansion pulled more than one result
+        past what has been yielded from it."""
+        offsets = [off for _base, batch in batches for off in batch]
+        for floor in range(min(offsets, default=2) + 1):
+            budgets = [None if max_steps is None
+                       else QueryBudget(max_steps=max_steps)
+                       for _ in range(2)]
+            expected = list(eager_merge_nested(
+                iter(batch_outer(batches)), batch_expand(batches, []),
+                budgets[0], floor))
+            pulls = []
+            yielded = [0] * len(batches)
+            lazy = merge_nested(iter(batch_outer(batches)),
+                                batch_expand(batches, pulls), budgets[1],
+                                floor)
+            result = []
+            for item in lazy:
+                result.append(item)
+                yielded[item[1][0]] += 1
+                assert all(pulls.count(index) <= yielded[index] + 1
+                           for index in range(len(batches)))
+            assert result == expected
+            if max_steps is not None:
+                assert budgets[1].steps == budgets[0].steps
 
 
 #: a sorted outer stream, each item with its expansion's offsets above
@@ -334,8 +455,9 @@ class TestNestedFloor:
         offsets = {index: batch for index, (_, batch) in enumerate(batches)}
 
         def expand(base, index):
-            return [(base + off, (index, j))
-                    for j, off in enumerate(offsets[index])]
+            return sorted([(base + off, (index, j))
+                           for j, off in enumerate(offsets[index])],
+                          key=itemgetter(0))
 
         outer = [(base, index) for index, (base, _) in enumerate(batches)]
         return merge_nested(wrap(outer), expand, budget, floor)
