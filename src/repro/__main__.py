@@ -20,11 +20,9 @@ and picks an exit code; argparse dispatches through ``set_defaults``.
     python -m repro fuzz --seed 7 --iterations 50 --chaos
     python -m repro fuzz --replay FUZZ_REPRO_seed7_iter3.json
     python -m repro serve --universes paint,bcl --port 8137 \
-        --slo p95_ms=50:error_rate=0.01 --fault-plan chaos.json
-    python -m repro loadtest --universe paint --n-workers 4 --duration 5
+        --run-log-dir serve-logs
     python -m repro stats --url http://127.0.0.1:8137 --validate
     python -m repro stats --url http://127.0.0.1:8137 --watch 2
-    python -m repro slo serve-logs/serve_bcl.ndjson --slo p95_ms=50
     python -m repro profile --universe paint --flame flame.txt
 """
 
@@ -271,17 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(repeatable); verified and restored without "
                             "an index rebuild, served under its recorded "
                             "universe name")
-    serve.add_argument("--slo", default=None, metavar="SPEC",
-                       help="track service-level objectives live "
-                            "(':'-separated, e.g. "
-                            "p95_ms=50:error_rate=0.01:shed_rate=0.2); "
-                            "verdicts and burn rates appear in "
-                            "/v1/healthz and /v1/metrics")
-    serve.add_argument("--fault-plan", default=None, metavar="JSON",
-                       help="mount chaos-through-serve from a JSON chaos "
-                            "spec (a path or an inline object with seed/"
-                            "rate/sites); every admitted request draws a "
-                            "deterministic seeded fault plan")
 
     pack = add(
         "pack", _run_pack,
@@ -324,45 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "wall-clock cost")
     pack_load.add_argument("path")
 
-    loadtest = add(
-        "loadtest", _run_loadtest,
-        help="multi-worker load generator against a completion server",
-        description="Replay a universe's golden battery from N worker "
-                    "threads for a fixed duration and write a "
-                    "schema-versioned BENCH_serve_<label>.json (p50/p95 "
-                    "latency, throughput, shed rate, the slowest request "
-                    "ids).  With no --url an in-process server is spawned "
-                    "on an ephemeral port.  Shed requests (tiny deadlines, "
-                    "overload) are counted, not fatal.  Exit 0 on a "
-                    "completed run, 1 when every request errored, 2 on "
-                    "bad input.  See docs/SERVING.md.",
-    )
-    loadtest.add_argument("--url", default=None,
-                          help="server base URL (default: spawn an "
-                               "in-process server)")
-    loadtest.add_argument("--universe", default="paint")
-    loadtest.add_argument("--n-workers", type=int, default=4)
-    loadtest.add_argument("--duration", type=float, default=5.0,
-                          metavar="SECONDS")
-    loadtest.add_argument("--deadline-ms", type=float, default=None,
-                          metavar="MS",
-                          help="per-request deadline; queue overflow "
-                               "sheds with structured 429/504 errors")
-    loadtest.add_argument("--label", default="local")
-    loadtest.add_argument("-n", type=int, default=10,
-                          help="suggestions per query (default 10)")
-    loadtest.add_argument("-o", "--output", default=None, metavar="PATH",
-                          help="write the document here (default "
-                               "BENCH_serve_<label>.json)")
-    loadtest.add_argument("--run-log-dir", default=None, metavar="DIR",
-                          help="with a spawned server, stream its "
-                               "per-tenant run logs to DIR")
-    loadtest.add_argument("--fault-plan", default=None, metavar="JSON",
-                          help="with a spawned server, mount "
-                               "chaos-through-serve from a JSON chaos "
-                               "spec (path or inline); incompatible "
-                               "with --url")
-
     stats = add(
         "stats", _run_stats,
         help="run the pinned query battery and print engine metrics",
@@ -401,34 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--watch-count", type=int, default=None, metavar="N",
                        help="stop after N --watch ticks (default: until "
                             "interrupted)")
-
-    slo = add(
-        "slo", _run_slo,
-        help="offline SLO burn-rate report over a server run log",
-        description="Replay the server_request records of a serve run "
-                    "log through the multi-window SLO burn-rate math "
-                    "(the same the live server's /v1/healthz uses) and "
-                    "print the per-window error/shed/latency burn and "
-                    "verdicts.  Exit 0 when every objective holds, 1 on "
-                    "a breach, 2 on bad input.  See "
-                    "docs/OBSERVABILITY.md.",
-    )
-    slo.add_argument("runlog", metavar="RUNLOG",
-                     help="NDJSON run log written by repro serve "
-                          "--run-log-dir (or repro loadtest)")
-    slo.add_argument("--slo", default=None, metavar="SPEC",
-                     help="objective spec, e.g. "
-                          "p95_ms=50:error_rate=0.01:shed_rate=0.2 "
-                          "(default: p95_ms=50:error_rate=0.01:"
-                          "shed_rate=0.20)")
-    slo.add_argument("--windows", default=None, metavar="S[,S...]",
-                     help="rolling window lengths in seconds (default "
-                          "60,300 plus a whole-log window; 'inf' is "
-                          "accepted)")
-    slo.add_argument("--json", action="store_true",
-                     help="emit the raw report JSON")
-    slo.add_argument("-o", "--output", default=None, metavar="PATH",
-                     help="also write the report JSON here")
 
     profile = add(
         "profile", _run_profile,
@@ -742,45 +662,6 @@ def _run_stats(args: argparse.Namespace, write) -> int:
     return EXIT_OK
 
 
-def _run_slo(args: argparse.Namespace, write) -> int:
-    import json
-
-    from .api import slo_report
-    from .obs.slo import render_slo_report
-
-    windows = None
-    if args.windows is not None:
-        try:
-            windows = [float(part) for part in args.windows.split(",")
-                       if part.strip()]
-        except ValueError:
-            write("error: --windows must be comma-separated durations "
-                  "in seconds")
-            return EXIT_USAGE
-        if not windows or any(w <= 0 for w in windows):
-            write("error: --windows must name positive durations")
-            return EXIT_USAGE
-    try:
-        report = slo_report(args.runlog, slo=args.slo, windows=windows)
-    except (OSError, ValueError) as error:
-        write("error: {}".format(error))
-        return EXIT_USAGE
-    if not report["server_requests"]:
-        write("error: {} has no server_request records (is it a serve "
-              "run log?)".format(args.runlog))
-        return EXIT_USAGE
-    if args.json:
-        write(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in render_slo_report(report):
-            write(line)
-    exit_code = EXIT_OK if report["ok"] else 1
-    if args.output:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        return _write_file(args.output, text, write) or exit_code
-    return exit_code
-
-
 def _run_fuzz(args: argparse.Namespace, write) -> int:
     from . import api
     from .fuzz.harness import render_report
@@ -839,8 +720,7 @@ def _run_serve(args: argparse.Namespace, write) -> int:  # pragma: no cover
             write, universes=universes, packs=args.packs or (),
             host=args.host, port=args.port,
             default_deadline_ms=args.default_deadline_ms,
-            run_log_dir=args.run_log_dir, slo=args.slo,
-            fault_plan=args.fault_plan)
+            run_log_dir=args.run_log_dir)
     except PackError as error:
         write("error [{}]: {}".format(error.code, error))
         return exit_code_for(error.code)
@@ -911,45 +791,6 @@ def _run_pack(args: argparse.Namespace, write) -> int:
         write("error: {}".format(error))
         return EXIT_USAGE
     return EXIT_USAGE
-
-
-def _run_loadtest(args: argparse.Namespace, write) -> int:
-    from .serve import render_loadgen, run_loadgen
-    from .serve.loadgen import save
-
-    if args.n_workers <= 0:
-        write("error: --n-workers must be positive")
-        return EXIT_USAGE
-    try:
-        document = run_loadgen(
-            url=args.url,
-            universe=args.universe,
-            n_workers=args.n_workers,
-            duration_s=args.duration,
-            deadline_ms=args.deadline_ms,
-            label=args.label,
-            n=args.n,
-            run_log_dir=args.run_log_dir,
-            log=write,
-            fault_plan=args.fault_plan,
-        )
-    except (OSError, ValueError) as error:
-        write("error: {}".format(error))
-        return EXIT_USAGE
-    for line in render_loadgen(document):
-        write(line)
-    output = args.output or "BENCH_serve_{}.json".format(args.label)
-    try:
-        save(output, document)
-    except OSError as error:
-        write("error: {}".format(error))
-        return EXIT_USAGE
-    write("wrote {}".format(output))
-    serve = document["serve"]
-    if serve["requests"] > 0 and serve["ok"] == 0 and serve["shed"] == 0:
-        write("error: every request failed; is the server healthy?")
-        return 1
-    return EXIT_OK
 
 
 def _run_profile(args: argparse.Namespace, write) -> int:

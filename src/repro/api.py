@@ -387,69 +387,15 @@ def serve(universes=tuple(Workspace.BUILTIN), **options):
 
     ``options`` are the :class:`~repro.serve.server.CompletionServer`
     keywords: ``host``, ``port`` (default 0, an ephemeral port),
-    ``default_deadline_ms``, ``run_log_dir``, ``packs``, ``slo`` and
-    ``fault_plan``.  ``packs`` mounts additional tenants from pack
-    artifacts (:mod:`repro.pack`): each path is verified and restored
-    without an index rebuild, served under its recorded universe name —
-    the millisecond warm-up path for large universes.  ``slo`` is an
-    objective spec (``"p95_ms=50:error_rate=0.01"``) the server tracks
-    live in ``/v1/healthz``; ``fault_plan`` (a
-    :class:`~repro.serve.chaos.ChaosSpec` source) mounts
-    chaos-through-serve.  Imported lazily — the serving layer pulls in
-    the corpus layer."""
+    ``default_deadline_ms``, ``run_log_dir`` and ``packs``.  ``packs``
+    mounts additional tenants from pack artifacts (:mod:`repro.pack`):
+    each path is verified and restored without an index rebuild, served
+    under its recorded universe name — the millisecond warm-up path for
+    large universes.  Imported lazily — the serving layer pulls in the
+    corpus layer."""
     from .serve import start_in_thread
 
     return start_in_thread(universes, **options)
-
-
-def loadtest(url: Optional[str] = None, label: str = "api",
-             **options) -> dict:
-    """Replay the universe's golden battery from ``n_workers`` threads
-    against a live server (or, with ``url=None``, a spawned in-process
-    one) and return the ``BENCH_serve_<label>``-shaped document —
-    latency percentiles + histogram, throughput, shed rate, per-request
-    correlation ids for the slowest requests (docs/SERVING.md).
-    ``options`` are :func:`~repro.serve.loadgen.run_loadgen`'s keywords
-    (``universe``, ``n_workers``, ``duration_s``, ``deadline_ms``,
-    ``n``, ``log``, ``run_log_dir``, ``fault_plan``): with a spawned
-    server, ``run_log_dir`` streams its run logs to disk and
-    ``fault_plan`` mounts chaos-through-serve.  Imported lazily — the
-    load generator pulls in the serving layer."""
-    from .serve import run_loadgen
-
-    return run_loadgen(url=url, label=label, **options)
-
-
-def slo_report(
-    source,
-    slo: Optional[str] = None,
-    windows: Optional[List[float]] = None,
-) -> dict:
-    """Offline SLO evaluation over a server run log.
-
-    ``source`` is a path to a ``serve_<name>.ndjson`` run log (or an
-    iterable of already-loaded records); ``slo`` is an objective spec
-    string (default :data:`~repro.obs.slo.DEFAULT_SLO_SPEC`).  Replays
-    every ``server_request`` record through the same burn-rate math the
-    live server uses and returns the report dict
-    (docs/OBSERVABILITY.md)."""
-    from .obs.slo import DEFAULT_SLO_SPEC, SLOObjectives, slo_from_run_log
-
-    if isinstance(source, str):
-        try:
-            with open(source) as handle:
-                records = read_run_log(handle.read())
-        except ValueError as error:
-            raise ValueError("{}: {}".format(source, error)) from None
-    else:
-        records = source
-    if slo is None:
-        objectives = SLOObjectives.from_spec(DEFAULT_SLO_SPEC)
-    elif isinstance(slo, SLOObjectives):
-        objectives = slo
-    else:
-        objectives = SLOObjectives.from_spec(slo)
-    return slo_from_run_log(records, objectives, windows=windows)
 
 
 def profile(
@@ -475,11 +421,9 @@ __all__ = [
     "impact",
     "lint",
     "load_pack",
-    "loadtest",
     "open_workspace",
     "profile",
     "serve",
-    "slo_report",
     # analysis
     "AbstractTypeAnalysis",
     "Context",

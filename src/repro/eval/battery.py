@@ -2,9 +2,9 @@
 
 One battery per universe: a scope (locals / ``this`` by full type name)
 plus the representative queries the repo pins everywhere — the golden
-top-10 files under ``tests/golden/``, ``repro loadtest``, ``repro
-profile``, ``repro stats``, and the CI trace-validation step all
-exercise these same queries, so a ranking change surfaces consistently
+top-10 files under ``tests/golden/``, ``repro profile``, ``repro
+stats``, perfbench's serving probe, CI's serve smoke and its
+trace-validation step all exercise these same queries, so a ranking change surfaces consistently
 across all of them.
 """
 

@@ -21,9 +21,6 @@ Three independent pieces (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.expo` — Prometheus text exposition (render, parse,
   validate) of :class:`Metrics` registries; what ``GET /v1/metrics``
   and ``repro stats --url`` speak.
-* :mod:`repro.obs.slo` — rolling-window SLO objectives with
-  multi-window burn rates, evaluated live (``/v1/healthz``) or offline
-  over server run logs (``repro slo``).
 
 This package sits *below* the engine (the engine imports it), so it
 must not import :mod:`repro.engine` at module level.
@@ -37,13 +34,6 @@ from .expo import (
     render_metrics_table,
     render_prometheus,
     validate_exposition,
-)
-from .slo import (
-    DEFAULT_SLO_SPEC,
-    SLOObjectives,
-    SLOTracker,
-    render_slo_report,
-    slo_from_run_log,
 )
 from .metrics import DEFAULT_BOUNDS, Histogram, Metrics
 from .profile import Profile, profile_traces
@@ -72,7 +62,6 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_BOUNDS",
-    "DEFAULT_SLO_SPEC",
     "EXPOSITION_CONTENT_TYPE",
     "Histogram",
     "LATENCY_BOUNDS_MS",
@@ -81,8 +70,6 @@ __all__ = [
     "RUNLOG_FORMAT",
     "RUNLOG_VERSION",
     "RunLog",
-    "SLOObjectives",
-    "SLOTracker",
     "ScoreBreakdown",
     "Span",
     "TRACE_FORMAT",
@@ -96,9 +83,7 @@ __all__ = [
     "read_run_log",
     "render_metrics_table",
     "render_prometheus",
-    "render_slo_report",
     "signature_hex",
-    "slo_from_run_log",
     "trace_to_ndjson",
     "validate_exposition",
     "validate_record",

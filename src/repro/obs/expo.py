@@ -106,7 +106,7 @@ def render_prometheus(
     ``sections`` is an iterable of ``(labels, metrics_dict)`` pairs
     where ``metrics_dict`` is :meth:`Metrics.to_dict` output; every
     sample in a section carries that section's labels.  ``gauges`` adds
-    point-in-time values (uptime, queue depth, SLO burn) that live in
+    point-in-time values (uptime, queue depth, warm-probe latency) that live in
     no registry.  Samples of the same family are grouped under one
     ``# TYPE`` line, as the format requires.
     """

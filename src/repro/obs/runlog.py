@@ -21,8 +21,7 @@ event as the run proceeds:
   workspace, HTTP status, stable error/ok code, queue wait and total
   latency, the request's deadline when it carried one, and — for
   correlated requests — the ``request_id``, the embedded engine span
-  tree (``spans``), degraded/truncated quality markers, and any
-  injected fault events that fired (chaos-through-serve).
+  tree (``spans``) and degraded/truncated quality markers.
 
 :meth:`RunLog.bind` attaches correlation fields (a ``request_id``) to
 every ``query``/``event``/``server_request`` record appended from the
@@ -295,7 +294,6 @@ class RunLog:
         request_id: Optional[str] = None,
         degraded: Optional[Any] = None,
         truncated: Optional[int] = None,
-        faults: Optional[List[str]] = None,
         spans: Optional[List[dict]] = None,
     ) -> None:
         """One request the completion server answered (or shed).
@@ -310,9 +308,8 @@ class RunLog:
 
         ``request_id`` is the correlation id echoed in the response;
         ``degraded`` lists the ranking features the engine degraded,
-        ``truncated`` counts budget-truncated queries, ``faults`` names
-        the injected fault events that fired (``"site@call"``), and
-        ``spans`` embeds the request's merged engine span tree when the
+        ``truncated`` counts budget-truncated queries, and ``spans``
+        embeds the request's merged engine span tree when the
         client opted into tracing (docs/OBSERVABILITY.md).
         """
         record: Dict[str, Any] = {
@@ -340,8 +337,6 @@ class RunLog:
             record["degraded"] = sorted(degraded)
         if truncated:
             record["truncated"] = int(truncated)
-        if faults:
-            record["faults"] = list(faults)
         if spans is not None:
             record["spans"] = spans
         self._append(record)

@@ -11,23 +11,17 @@ plugs into (ROADMAP.md):
   per-workspace session affinity and deadline admission control;
 * :mod:`repro.serve.server` — the asyncio HTTP/1.1 front end
   (``repro serve``);
-* :mod:`repro.serve.client` — sync + async protocol clients;
-* :mod:`repro.serve.loadgen` — the multi-worker load generator
-  (``repro loadtest``) emitting ``BENCH_serve_<label>.json``;
-* :mod:`repro.serve.chaos` — seeded per-request fault plans mounted
-  into tenant sessions (``repro serve --fault-plan``).
+* :mod:`repro.serve.client` — sync + async protocol clients.
 
 Observability rides on every request: a correlation ``request_id``
 (client supplied or generated), opt-in span tracing embedded in the
-run log, ``GET /v1/metrics`` Prometheus exposition, and SLO burn-rate
-verdicts in ``/v1/healthz`` (see docs/OBSERVABILITY.md).
+run log, and ``GET /v1/metrics`` Prometheus exposition (see
+docs/OBSERVABILITY.md).
 
 See docs/SERVING.md.
 """
 
-from .chaos import ChaosSpec, ChaosStream
 from .client import ServeClient, async_request
-from .loadgen import render_loadgen, run_loadgen
 from .pool import AdmissionError, EnginePool, Tenant
 from .protocol import (
     PROTOCOL_VERSION,
@@ -41,8 +35,6 @@ from .server import CompletionServer, ServerHandle, start_in_thread
 
 __all__ = [
     "AdmissionError",
-    "ChaosSpec",
-    "ChaosStream",
     "CompletionRequestBody",
     "CompletionServer",
     "EnginePool",
@@ -55,7 +47,5 @@ __all__ = [
     "error_body",
     "new_request_id",
     "record_to_dict",
-    "render_loadgen",
-    "run_loadgen",
     "start_in_thread",
 ]

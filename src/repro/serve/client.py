@@ -1,7 +1,7 @@
 """Clients for the completion service: one sync, one async.
 
 :class:`ServeClient` wraps a persistent ``http.client`` connection —
-what the load generator's worker threads and the tests use.  The
+what perfbench's serving probe, CI's serve smoke and the tests use.  The
 ``async_request`` coroutine speaks the same protocol over raw asyncio
 streams, for callers already inside an event loop (the concurrency
 battery's "N async clients" scenario).  Both return ``(http_status,

@@ -23,13 +23,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from ..ide.session import CompletionSession, QueryRecord, open_session
 from ..ide.workspace import Workspace
-from ..testing import faults
 from . import protocol
-from .chaos import ChaosSpec, ChaosStream
 from .protocol import CompletionRequestBody, ProtocolError
 
 #: the builtin universes a pool serves when none are named
@@ -67,9 +65,6 @@ class Tenant:
         #: measured warmup probe latency (ms); ``None`` until warmed or
         #: when the probe could not run
         self.warm_probe_ms: Optional[float] = None
-        #: per-tenant chaos draw stream (chaos-through-serve); ``None``
-        #: unless the pool mounted a :class:`ChaosSpec`
-        self.chaos: Optional[ChaosStream] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -105,10 +100,6 @@ class Tenant:
             return (time.monotonic() - start) * 1000.0
         except Exception:  # pragma: no cover - diagnostics only
             return None
-
-    def set_chaos(self, spec: Optional[ChaosSpec]) -> None:
-        """(Un)mount serve-path fault injection for this tenant."""
-        self.chaos = spec.stream(self.name) if spec is not None else None
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop the tenant thread; with ``drain`` (the default) queued
@@ -184,19 +175,10 @@ class Tenant:
         session = self._session(request)
         if request.deadline_ms is not None:
             session.timeout_ms = remaining
-        plan = self.chaos.next_plan() if self.chaos is not None else None
-        previous = faults.install_local(plan) if plan is not None else None
-        try:
-            with self.run_log.bind(request_id=request.request_id):
-                if len(request.queries) == 1:
-                    return [session.complete(request.queries[0])]
-                return session.complete_many(request.queries)
-        finally:
-            if plan is not None:
-                faults.uninstall_local(previous)
-                request.fault_events = [
-                    "{}@{}".format(site, call)
-                    for site, call in plan.triggered]
+        with self.run_log.bind(request_id=request.request_id):
+            if len(request.queries) == 1:
+                return [session.complete(request.queries[0])]
+            return session.complete_many(request.queries)
 
     def _submit(self, request: CompletionRequestBody, run):
         """Admit ``request``, run ``run(admitted)`` on the tenant thread
@@ -255,7 +237,6 @@ class EnginePool:
 
     def __init__(self, universes: Iterable[str] = DEFAULT_UNIVERSES) -> None:
         self.tenants: Dict[str, Tenant] = {}
-        self.chaos_spec: Optional[ChaosSpec] = None
         for key in universes:
             self.tenants[key] = Tenant(key, Workspace.builtin(key))
 
@@ -263,22 +244,8 @@ class EnginePool:
         """Serve an already-built workspace under ``name`` (how tests
         and embedders mount custom universes)."""
         tenant = Tenant(name, workspace)
-        tenant.set_chaos(self.chaos_spec)
         self.tenants[name] = tenant
         return tenant
-
-    def set_chaos(
-        self,
-        spec: Union[ChaosSpec, Dict[str, object], str, None],
-    ) -> None:
-        """Mount (or clear, with ``None``) chaos-through-serve: every
-        tenant gets a deterministic per-tenant draw stream off the
-        spec's seed.  Accepts a :class:`ChaosSpec`, a dict, a JSON
-        string, or a path to a JSON file."""
-        self.chaos_spec = (
-            ChaosSpec.from_source(spec) if spec is not None else None)
-        for tenant in self.tenants.values():
-            tenant.set_chaos(self.chaos_spec)
 
     def get(self, name: str) -> Tenant:
         try:

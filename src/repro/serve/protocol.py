@@ -1,7 +1,7 @@
 """The completion service's wire protocol: JSON shapes and error codes.
 
-One place defines what goes over the wire so the server, the client,
-the load generator, and the protocol tests all agree byte for byte.
+One place defines what goes over the wire so the server, the client
+and the protocol tests all agree byte for byte.
 Requests and responses are JSON bodies over HTTP/1.1; every error is a
 structured body — never a hung connection, never a bare status line:
 
@@ -147,7 +147,7 @@ class CompletionRequestBody:
 
     __slots__ = ("workspace", "queries", "locals", "this", "expected",
                  "keyword", "n", "deadline_ms", "max_steps", "rank",
-                 "request_id", "trace", "fault_events")
+                 "request_id", "trace")
 
     def __init__(self, body: Any, many: bool = False) -> None:
         if not isinstance(body, dict):
@@ -224,7 +224,3 @@ class CompletionRequestBody:
         #: opt-in per-request span tracing (embedded in the run log and,
         #: for a traced single /v1/complete, echoed in the response)
         self.trace = trace
-        #: ``"site@call"`` strings for faults the chaos layer triggered
-        #: while this request ran; filled by the tenant, read by the
-        #: server when it writes the ``server_request`` record
-        self.fault_events: List[str] = []

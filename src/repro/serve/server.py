@@ -8,8 +8,7 @@ no third-party HTTP stack):
 * ``POST /v1/complete_many`` — a batch sharing one scope;
 * ``POST /v1/explain`` — ranking attribution;
 * ``GET /v1/stats`` — per-tenant metrics / cache / run-log counters;
-* ``GET /v1/healthz`` — liveness, protocol version, tenant warm state,
-  SLO verdicts when objectives are configured;
+* ``GET /v1/healthz`` — liveness, protocol version, tenant warm state;
 * ``GET /v1/metrics`` — every registry (server-wide HTTP + per-tenant
   engine) in Prometheus text exposition format.
 
@@ -27,9 +26,9 @@ answer health checks even while every engine is busy.  Shutdown is
 graceful by default: the listener closes first, in-flight connections
 drain, then tenant threads stop and per-tenant run logs flush to disk.
 
-``start_in_thread`` wraps the whole thing for synchronous callers (the
-load generator's spawn mode, tests, ``repro.api.serve``): it runs the
-event loop on a daemon thread and hands back a :class:`ServerHandle`.
+``start_in_thread`` wraps the whole thing for synchronous callers
+(tests, ``repro.api.serve``): it runs the event loop on a daemon thread
+and hands back a :class:`ServerHandle`.
 ``run_server`` runs it in the foreground until SIGINT (``repro serve``).
 """
 
@@ -62,9 +61,7 @@ from ..obs.expo import (
 )
 from ..ide.session import require_positive
 from ..obs.metrics import Metrics
-from ..obs.slo import SLOObjectives, SLOTracker
 from . import protocol
-from .chaos import ChaosSpec
 from .pool import DEFAULT_UNIVERSES, AdmissionError, EnginePool
 from .protocol import CompletionRequestBody, ProtocolError
 
@@ -107,23 +104,16 @@ class CompletionServer:
         port: int = 0,
         default_deadline_ms: Optional[float] = None,
         run_log_dir: Optional[str] = None,
-        slo: Union[str, SLOObjectives, None] = None,
-        fault_plan: Union[ChaosSpec, Dict[str, Any], str, None] = None,
         universes: Iterable[str] = DEFAULT_UNIVERSES,
         packs: Iterable[str] = (),
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         """The one server constructor: without ``pool``, a pool over the
         builtin ``universes``; plus one tenant per pack in ``packs``,
-        each mount reported through ``log``.  A bad SLO spec, fault plan
-        or non-positive default deadline raises :class:`ValueError`
-        before any universe is built; an unknown universe raises
-        :class:`ValueError` and a pack that fails verification
-        :class:`~repro.errors.PackError`."""
-        if isinstance(slo, str):
-            slo = SLOObjectives.from_spec(slo)
-        if fault_plan is not None:
-            fault_plan = ChaosSpec.from_source(fault_plan)
+        each mount reported through ``log``.  A non-positive default
+        deadline raises :class:`ValueError` before any universe is
+        built; an unknown universe raises :class:`ValueError` and a pack
+        that fails verification :class:`~repro.errors.PackError`."""
         self.default_deadline_ms = require_positive(
             "default_deadline_ms", default_deadline_ms)
         self.pool = pool or EnginePool(universes)
@@ -140,10 +130,6 @@ class CompletionServer:
         self.run_log_dir = run_log_dir
         #: server-wide HTTP registry (the tenants keep their own)
         self.metrics = Metrics()
-        self.slo: Optional[SLOTracker] = (
-            SLOTracker(slo) if slo else None)
-        if fault_plan is not None:
-            self.pool.set_chaos(fault_plan)
         self.started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.Task] = set()
@@ -337,7 +323,7 @@ class CompletionServer:
         return payload.pop("status"), payload
 
     def _healthz(self) -> dict:
-        document = {
+        return {
             "ok": True,
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_s": round(time.monotonic() - self.started, 3),
@@ -347,13 +333,6 @@ class CompletionServer:
                 for name, tenant in sorted(self.pool.tenants.items())
             },
         }
-        if self.slo is not None:
-            report = self.slo.evaluate()
-            document["slo"] = report
-            document["ok"] = bool(report["ok"])
-        if self.pool.chaos_spec is not None:
-            document["chaos"] = self.pool.chaos_spec.to_dict()
-        return document
 
     def _metrics_text(self) -> str:
         """Every registry, rendered for a Prometheus scrape."""
@@ -371,18 +350,6 @@ class CompletionServer:
             if tenant.warm_probe_ms is not None:
                 gauges.append(
                     ("tenant_warm_probe_ms", labels, tenant.warm_probe_ms))
-        if self.slo is not None:
-            report = self.slo.evaluate()
-            for window in report["windows"]:
-                window_label = ("inf" if window["window_s"] is None
-                                else "{:g}".format(window["window_s"]))
-                for objective, value in window.get("burn", {}).items():
-                    gauges.append((
-                        "slo_burn",
-                        {"objective": objective, "window_s": window_label},
-                        value))
-            gauges.append(
-                ("slo_ok", {}, 1.0 if report["ok"] else 0.0))
         return render_prometheus(sections, gauges=gauges)
 
     def _stats(self, query: Dict[str, list]) -> Tuple[int, dict]:
@@ -488,14 +455,6 @@ class CompletionServer:
         shed = code in (protocol.SHED, protocol.DEADLINE_EXCEEDED)
         metrics.observe("server_latency_ms", elapsed_ms,
                         bounds=LATENCY_BOUNDS_MS)
-        if self.slo is not None:
-            self.slo.record(
-                elapsed_ms,
-                error=code == protocol.INTERNAL,
-                shed=shed,
-                degraded=bool(degraded or truncated
-                              or request.fault_events),
-            )
         tenant.run_log.server_request(
             endpoint="/v1/{}".format(endpoint),
             status=status,
@@ -510,7 +469,6 @@ class CompletionServer:
             request_id=request.request_id,
             degraded=degraded or None,
             truncated=truncated or None,
-            faults=request.fault_events or None,
             spans=spans,
         )
         return status, payload
@@ -559,10 +517,9 @@ def run_server(log: Callable[[str], None] = print,
     """Build a :class:`CompletionServer` (same keywords) and serve on this
     thread's event loop until interrupted; Ctrl-C / SIGINT drains
     in-flight requests, then stops.  Progress goes to ``log``: one
-    ``mounted pack …`` line per pack, the warm-up, any SLO objectives and
-    chaos, then ``serving on <url>`` once the port is bound (``repro
-    serve`` runs this; perfbench's serving probe waits for that line),
-    and ``draining in-flight requests...`` and ``stopped`` on SIGINT.
+    ``mounted pack …`` line per pack, the warm-up, then ``serving on
+    <url>`` once the port is bound (``repro serve`` runs this;
+    perfbench's serving probe waits for that line), and ``draining in-flight requests...`` and ``stopped`` on SIGINT.
 
     The SIGINT handler is the event loop's own, so the drain runs inside
     the loop (``asyncio.run`` would otherwise turn the signal into a
@@ -573,13 +530,6 @@ def run_server(log: Callable[[str], None] = print,
     async def run() -> None:
         log("warming {} workspace(s): {}".format(
             len(server.pool.tenants), ", ".join(server.pool.tenants)))
-        if server.slo is not None:
-            log("slo: {}".format(":".join(
-                "{}={:g}".format(key, value) for key, value
-                in server.slo.objectives.to_dict().items())))
-        chaos = server.pool.chaos_spec
-        if chaos is not None:
-            log("chaos: seed={} rate={:.0%}".format(chaos.seed, chaos.rate))
         loop = asyncio.get_running_loop()
         interrupted = asyncio.Event()
         loop.add_signal_handler(signal.SIGINT, interrupted.set)

@@ -9,9 +9,7 @@ from .faults import (
     fire,
     inject,
     install,
-    install_local,
     uninstall,
-    uninstall_local,
 )
 
 __all__ = [
@@ -23,7 +21,5 @@ __all__ = [
     "fire",
     "inject",
     "install",
-    "install_local",
     "uninstall",
-    "uninstall_local",
 ]

@@ -37,19 +37,13 @@ Delays simulate slow dependencies for deadline tests::
 
 Everything is deterministic: triggering is purely call-count based and
 plans are installed/uninstalled explicitly (the context manager restores
-the previous plan, so injections nest).
-
-Plans come in two scopes.  :func:`install`/:func:`inject` set the
-process-wide plan (the single-threaded testing default).
-:func:`install_local` sets a *thread-local* plan that shadows the global
-one on the installing thread only — this is how chaos-through-serve
-injects a fresh seeded plan per request on each tenant's executor
-thread without tenants clobbering each other.
+the previous plan, so injections nest).  The plan is process-wide, so a
+site fires under it on whichever thread runs the query — a served
+request's tenant thread included.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -159,20 +153,9 @@ class FaultPlan:
 #: the installed plan; ``None`` keeps ``fire`` a near-free early return
 _active: Optional[FaultPlan] = None
 
-#: thread-local plans (chaos-through-serve); ``_local_installs`` counts
-#: live installs so ``fire`` only consults the thread-local slot when at
-#: least one exists anywhere in the process
-_local = threading.local()
-_local_installs = 0
-_local_lock = threading.Lock()
-
 
 def active_plan() -> Optional[FaultPlan]:
-    """The plan :func:`fire` would consult on *this* thread."""
-    if _local_installs:
-        local = getattr(_local, "plan", None)
-        if local is not None:
-            return local
+    """The plan :func:`fire` consults."""
     return _active
 
 
@@ -186,36 +169,8 @@ def uninstall() -> None:
     _active = None
 
 
-def install_local(plan: FaultPlan) -> Optional[FaultPlan]:
-    """Install ``plan`` for the calling thread only, shadowing the
-    global plan there.  Returns the thread's previous local plan so
-    callers can restore it via :func:`uninstall_local`."""
-    global _local_installs
-    previous = getattr(_local, "plan", None)
-    _local.plan = plan
-    if previous is None:
-        with _local_lock:
-            _local_installs += 1
-    return previous
-
-
-def uninstall_local(previous: Optional[FaultPlan] = None) -> None:
-    """Remove (or replace with ``previous``) this thread's local plan."""
-    global _local_installs
-    current = getattr(_local, "plan", None)
-    _local.plan = previous
-    if current is not None and previous is None:
-        with _local_lock:
-            _local_installs = max(0, _local_installs - 1)
-
-
 def fire(site: str) -> None:
     """Instrumentation hook: no-op unless a plan is installed."""
-    if _local_installs:
-        local = getattr(_local, "plan", None)
-        if local is not None:
-            local.fire(site)
-            return
     if _active is not None:
         _active.fire(site)
 

@@ -61,14 +61,12 @@ class TestRender:
 
     def test_gauges_render_with_labels(self):
         text = render_prometheus(
-            [], gauges=[("slo_burn", {"objective": "errors",
-                                      "window_s": "60"}, 1.5),
+            [], gauges=[("tenant_pending", {"workspace": "bcl"}, 3.0),
                         ("uptime_seconds", {}, 12.0)])
         parsed = parse_exposition(text)
-        assert parsed["types"]["repro_slo_burn"] == "gauge"
-        key = ("repro_slo_burn",
-               (("objective", "errors"), ("window_s", "60")))
-        assert parsed["samples"][key] == 1.5
+        assert parsed["types"]["repro_tenant_pending"] == "gauge"
+        key = ("repro_tenant_pending", (("workspace", "bcl"),))
+        assert parsed["samples"][key] == 3.0
 
     def test_multiple_sections_share_one_type_line(self, snapshot):
         text = render_prometheus(

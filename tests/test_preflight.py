@@ -409,7 +409,6 @@ class TestCliUnknownUniverse:
         ["stats", "--universe", "nope"],
         ["profile", "--universe", "nope"],
         ["fuzz", "--universe", "nope"],
-        ["loadtest", "--universe", "nope"],
         ["serve", "--universes", "paint,nope"],
         ["impact", "--universe", "nope", "--type", "Document"],
     ])

@@ -352,7 +352,7 @@ class TestServerRequestRecords:
             endpoint="/v1/complete", status=200, code="ok",
             elapsed_ms=1.25, workspace="bcl", queries=1, completions=10,
             request_id="req-1", degraded=["oracle", "abstract_types"],
-            truncated=1, faults=["oracle@1", "oracle@2"],
+            truncated=1,
             spans=[{"kind": "span", "span": 0, "parent": None,
                     "name": "complete", "start_ms": 0.0, "end_ms": 1.0,
                     "duration_ms": 1.0, "counters": {}},
@@ -363,17 +363,16 @@ class TestServerRequestRecords:
         record = log.records()[-1]
         assert record["request_id"] == "req-1"
         assert record["degraded"] == ["abstract_types", "oracle"]
-        assert record["faults"] == ["oracle@1", "oracle@2"]
         assert len(record["spans"]) == 2
 
     def test_falsy_observability_fields_stay_off_the_record(self):
         log = self._log()
         log.server_request(endpoint="/v1/complete", status=200, code="ok",
                            elapsed_ms=1.0, request_id="req-2",
-                           degraded=None, truncated=0, faults=[],
+                           degraded=None, truncated=0,
                            spans=None)
         record = log.records()[-1]
-        for absent in ("degraded", "truncated", "faults", "spans"):
+        for absent in ("degraded", "truncated", "spans"):
             assert absent not in record
         assert validate_runlog_text(log.to_ndjson()) == []
 
